@@ -9,7 +9,7 @@ from fractions import Fraction as Q
 
 from torvoa import (HypLattice, exp_vertex_mode, heis_act, hyp_virasoro_mode,
                     vacuum_vector, voa_axiom_check)
-from torvoa.lattice_fock import _insert_osc
+from torvoa.lattice_fock import random_state
 
 
 def show(label, value):
@@ -40,20 +40,11 @@ def main():
     print("skew-symmetry) on seeded degree <= 2 triples:")
     rng = random.Random(4)
 
-    def rand_state(maxdeg):
-        depth = rng.randint(0, maxdeg)
-        osc = ()
-        left = depth
-        while left:
-            s = rng.randint(1, left)
-            osc = _insert_osc(osc, rng.randrange(2), -s)
-            left -= s
-        return {(osc, (Q(rng.randint(-1, 1)), Q(0))): Q(1)}
-
     bad = 0
     for _ in range(8):
-        fails = voa_axiom_check(lat, rand_state(2), rand_state(2),
-                                rand_state(2), window=2)
+        fails = voa_axiom_check(lat, random_state(lat, rng, 2),
+                                random_state(lat, rng, 2),
+                                random_state(lat, rng, 2), window=2)
         bad += bool(fails)
     print(f"  failures: {bad}/8")
 

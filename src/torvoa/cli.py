@@ -24,11 +24,13 @@ from .characters import (ResourceLimitError, compare, enumerate_weight_spaces,
                          product_formula_char)
 from .finite_lie_data import (ValidationError, build_gl_module, build_module,
                               casimir_eigenvalue, simple_algebra)
-from .lattice_fock import HypLattice, vacuum_vector, voa_axiom_check, _insert_osc
+from .lattice_fock import (HypLattice, _insert_osc, random_state,
+                           vacuum_vector, voa_axiom_check)
+from .linalg import vec_add, vec_eq
 from .toroidal_realization import (RealizationModule, RELATION_IDS,
                                    default_identity_pairs,
                                    field_commutator_window_check, relation_check,
-                                   top_action_check, vec_add, vec_eq)
+                                   top_action_check)
 from .virasoro_affine import (CriticalLevelError, singular_vectors,
                               sugawara_constants, sugawara_mode)
 
@@ -367,9 +369,9 @@ def _dispatch(command, params, module, report, depth, window, seed, certify):
         triples.append((ones, ones, u1))
         triples.append((u1, v1, eu2))
         for _ in range(50):
-            triples.append((_random_state(lat, rng, 3),
-                            _random_state(lat, rng, 3),
-                            _random_state(lat, rng, 3)))
+            triples.append((random_state(lat, rng, 3),
+                            random_state(lat, rng, 3),
+                            random_state(lat, rng, 3)))
         bad = 0
         total = 0
         for a, b, c3 in triples:
@@ -485,20 +487,6 @@ def _dispatch(command, params, module, report, depth, window, seed, certify):
             checks.append(_check("char:certified", bool(certified),
                                  "no singular vectors up to the table depth"
                                  if certified else "uncertified: singular vectors found"))
-
-
-def _random_state(lat, rng, max_degree):
-    depth = rng.randint(0, max_degree)
-    osc = ()
-    left = depth
-    while left > 0:
-        step = rng.randint(1, left)
-        g = rng.randrange(2 * lat.N)
-        osc = _insert_osc(osc, g, -step)
-        left -= step
-    m = tuple(rng.randint(-1, 1) for _ in range(lat.N))
-    lpoint = tuple(Q(x) for x in m) + tuple(Q(0) for _ in range(lat.N))
-    return {(osc, lpoint): Q(1)}
 
 
 def report_passed(report) -> bool:

@@ -21,6 +21,8 @@ from fractions import Fraction
 from math import factorial
 from typing import Optional
 
+from .linalg import merge, vec_add, vec_eq
+
 Q = Fraction
 
 
@@ -92,15 +94,6 @@ def vector_fock_depth(vec):
     return max((fock_depth(osc) for (osc, _lat) in vec), default=0)
 
 
-def _merge(out, key, cf):
-    if cf:
-        v = out.get(key, Q(0)) + cf
-        if v:
-            out[key] = v
-        else:
-            del out[key]
-
-
 def _insert_osc(osc, g, mode):
     entry = (g, mode)
     lst = list(osc)
@@ -112,24 +105,45 @@ def _insert_osc(osc, g, mode):
     return tuple(lst)
 
 
+def random_osc(rng, N, max_degree):
+    """Seeded oscillator monomial over the 2N generators, of a depth drawn
+    uniformly from 0..max_degree."""
+    osc = ()
+    left = rng.randint(0, max_degree)
+    while left > 0:
+        step = rng.randint(1, left)
+        g = rng.randrange(2 * N)
+        osc = _insert_osc(osc, g, -step)
+        left -= step
+    return osc
+
+
+def random_state(L: HypLattice, rng, max_degree):
+    """Seeded basis state: a random oscillator monomial at a random point
+    m u with m in {-1, 0, 1}^N."""
+    osc = random_osc(rng, L.N, max_degree)
+    m = tuple(rng.randint(-1, 1) for _ in range(L.N))
+    return {(osc, coset_point(L, (0,) * L.N, m)): Q(1)}
+
+
 def heis_act_gen(L: HypLattice, g: int, n: int, vec):
     """Action of the mode n of the g-th oscillator generator."""
     N = L.N
     out = {}
     if n < 0:
         for (osc, lat), cf in vec.items():
-            _merge(out, (_insert_osc(osc, g, n), lat), cf)
+            merge(out, (_insert_osc(osc, g, n), lat), cf)
         return out
     if n == 0:
         for (osc, lat), cf in vec.items():
             reading = lat[N + g] if g < N else lat[g - N]
-            _merge(out, (osc, lat), cf * reading)
+            merge(out, (osc, lat), cf * reading)
         return out
     partner = g + N if g < N else g - N
     for (osc, lat), cf in vec.items():
         for pos, (g2, m2) in enumerate(osc):
             if g2 == partner and m2 == -n:
-                _merge(out, (osc[:pos] + osc[pos + 1:], lat), cf * n)
+                merge(out, (osc[:pos] + osc[pos + 1:], lat), cf * n)
     return out
 
 
@@ -141,7 +155,7 @@ def heis_act(L: HypLattice, x, n: int, vec):
     for g, comp in enumerate(x):
         if comp:
             for key, cf in heis_act_gen(L, g, n, vec).items():
-                _merge(out, key, comp * cf)
+                merge(out, key, comp * cf)
     return out
 
 
@@ -205,7 +219,7 @@ def _exp_term(L: HypLattice, y, e, osc, lat):
                     newosc = core
                     for g, mode in created:
                         newosc = _insert_osc(newosc, g, mode)
-                    _merge(out, (newosc, new_lat), sign * coeff * ccf)
+                    merge(out, (newosc, new_lat), sign * coeff * ccf)
                 return
             pos, pr = pairables[i]
             rec(i + 1, chosen, coeff, zshift)
@@ -223,12 +237,7 @@ def exp_vertex_mode(L: HypLattice, y, exponent, vec):
     Terms whose z-support misses the requested exponent's coset contribute
     nothing.
     """
-    y = tuple(Q(t) for t in y)
-    out = {}
-    for (osc, lat), cf in vec.items():
-        for key, c in _exp_term(L, y, Q(exponent), osc, lat).items():
-            _merge(out, key, cf * c)
-    return out
+    return field_mode(L, exp_field(y), exponent, vec)
 
 
 # ---------------------------------------------------------------------------
@@ -266,27 +275,13 @@ def hyp_virasoro_mode(L: HypLattice, m: int, vec):
             w = heis_act_gen(L, vp, m - k, vec)
             if w:
                 for key, cf in heis_act_gen(L, up, k, w).items():
-                    _merge(out, key, cf)
+                    merge(out, key, cf)
         for k in range(0, dmax + 1):
             w = heis_act_gen(L, up, k, vec)
             if w:
                 for key, cf in heis_act_gen(L, vp, m - k, w).items():
-                    _merge(out, key, cf)
+                    merge(out, key, cf)
     return out
-
-
-def _factor_min_exponent(L, factors, expy, vec):
-    """Lower bound for the z-support of the product on the vector."""
-    wsum = 0
-    for f in factors:
-        wsum += 2 if f[0] == "vir" else 1 + f[2]
-    best = None
-    for (osc, lat), _cf in vec.items():
-        xi = L.form(expy, lat) if expy is not None else Q(0)
-        cand = xi - fock_depth(osc) - wsum
-        if best is None or cand < best:
-            best = cand
-    return Q(0) if best is None else best
 
 
 def _factor_ann_exponents(L, factor, vec):
@@ -340,14 +335,14 @@ def _term_apply(L, factors, expy, osc, lat, e):
         w = _factor_at(L, F, e1, term)
         for (osc2, lat2), cf in w.items():
             for key2, c2 in _term_apply(L, rest, expy, osc2, lat2, e - e1).items():
-                _merge(out, key2, cf * c2)
+                merge(out, key2, cf * c2)
     lo = _term_min_exponent(L, rest, expy, osc, lat)
     e1 = 0
     while Q(e) - e1 >= lo:
         inner = _term_apply(L, rest, expy, osc, lat, e - e1)
         if inner:
             for key2, cf in _factor_at(L, F, e1, inner).items():
-                _merge(out, key2, cf)
+                merge(out, key2, cf)
         e1 += 1
     L._field_cache[key] = out
     return out
@@ -358,12 +353,8 @@ def _apply_factors(L, factors, expy, e, vec):
     ee = Q(e)
     for (osc, lat), cf in vec.items():
         for key, c in _term_apply(L, factors, expy, osc, lat, ee).items():
-            _merge(out, key, cf * c)
+            merge(out, key, cf * c)
     return out
-
-
-def _apply_profile(L, factors, expy, vec, exps):
-    return {e: _apply_factors(L, factors, expy, e, vec) for e in exps}
 
 
 def field_mode(L: HypLattice, fh: FieldHandle, exponent, vec):
@@ -396,10 +387,10 @@ def state_profile(L: HypLattice, state, modes, vec):
         if any(x.denominator != 1 for x in lat):
             raise ValueError("state fields need integral lattice points")
         factors = tuple(("osc", g, -m - 1) for (g, m) in osc)
-        prof = _apply_profile(L, factors, lat, vec, exps)
+        prof = {e: _apply_factors(L, factors, lat, e, vec) for e in exps}
         for n in modes:
             for key, c in prof[Q(-n - 1)].items():
-                _merge(out[n], key, cf * c)
+                merge(out[n], key, cf * c)
     return out
 
 
@@ -412,13 +403,6 @@ def state_mode(L: HypLattice, state, n, vec):
 def translate(L: HypLattice, vec):
     """The translation operator D = mode -1 of the lattice Virasoro field."""
     return hyp_virasoro_mode(L, -1, vec)
-
-
-def _vec_sub(a, b):
-    out = dict(a)
-    for k, v in b.items():
-        _merge(out, k, -v)
-    return out
 
 
 def voa_axiom_check(L: HypLattice, a, b, c, window=3, borcherds_window=2):
@@ -469,14 +453,14 @@ def voa_axiom_check(L: HypLattice, a, b, c, window=3, borcherds_window=2):
 
     for m in range(-window, window + 1):
         for n in range(-window, window + 1):
-            lhs = _vec_sub(ab(m, n), ba(n, m))
+            lhs = vec_add(ab(m, n), ba(n, m), Q(-1))
             rhs = {}
             for k in range(0, kmax + 1):
                 cf = binom(m, k)
                 if cf:
                     for key, v in pc(k, m + n - k).items():
-                        _merge(rhs, key, cf * v)
-            if _vec_sub(lhs, rhs):
+                        merge(rhs, key, cf * v)
+            if not vec_eq(lhs, rhs):
                 failures.append(("commutator", m, n))
 
     w = borcherds_window
@@ -490,21 +474,21 @@ def voa_axiom_check(L: HypLattice, a, b, c, window=3, borcherds_window=2):
                     cf = binom(m, j)
                     if cf:
                         for key, v in pc(k + j, m + n - j).items():
-                            _merge(lhs, key, cf * v)
+                            merge(lhs, key, cf * v)
                 rhs = {}
                 for j in range(0, da + dc - m + 2):
                     cf = binom(k, j)
                     if cf:
                         sgn = Q(-1) if (k + j + 1) % 2 else Q(1)
                         for key, v in ba(n + k - j, m + j).items():
-                            _merge(rhs, key, sgn * cf * v)
+                            merge(rhs, key, sgn * cf * v)
                 for j in range(0, db + dc - n + 2):
                     cf = binom(k, j)
                     if cf:
                         sgn = Q(-1) if j % 2 else Q(1)
                         for key, v in ab(m + k - j, n + j).items():
-                            _merge(rhs, key, sgn * cf * v)
-                if _vec_sub(lhs, rhs):
+                            merge(rhs, key, sgn * cf * v)
+                if not vec_eq(lhs, rhs):
                     failures.append(("borcherds", k, m, n))
 
     ba_states = {}
@@ -522,7 +506,7 @@ def voa_axiom_check(L: HypLattice, a, b, c, window=3, borcherds_window=2):
             sgn = Q(-1) if (n + j + 1) % 2 else Q(1)
             cf = sgn / factorial(j)
             for key, v in base.items():
-                _merge(rhs, key, cf * v)
-        if _vec_sub(lhs, rhs):
+                merge(rhs, key, cf * v)
+        if not vec_eq(lhs, rhs):
             failures.append(("skew", n))
     return failures

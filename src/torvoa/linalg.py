@@ -1,7 +1,7 @@
-"""Exact dense linear algebra over rationals: row echelon, nullspace, inverse.
-
-Everything here works on lists of lists of Fraction and is deliberately
-simple; matrices at desk scale stay in the hundreds of rows.
+"""Exact linear algebra over rationals: sparse vectors {key: Fraction}
+without zero entries, and row echelon, nullspace and inverse of dense
+matrices, which are lists of lists of Fraction.  The matrix routines are
+deliberately simple; matrices at desk scale stay in the hundreds of rows.
 """
 
 from __future__ import annotations
@@ -9,6 +9,34 @@ from __future__ import annotations
 from fractions import Fraction
 
 Q = Fraction
+
+
+def merge(out, key, cf):
+    """Add ``cf`` at ``key`` of the sparse vector ``out`` in place; entries
+    that cancel are removed."""
+    if cf:
+        v = out.get(key, Q(0)) + cf
+        if v:
+            out[key] = v
+        else:
+            del out[key]
+
+
+def vec_add(a, b, scale=Q(1)):
+    """The sparse vector a + scale * b."""
+    out = dict(a)
+    for k, v in b.items():
+        merge(out, k, scale * v)
+    return out
+
+
+def vec_scale(a, s):
+    s = Q(s)
+    return {k: s * v for k, v in a.items()} if s else {}
+
+
+def vec_eq(a, b):
+    return vec_add(a, b, Q(-1)) == {}
 
 
 def rref(rows):

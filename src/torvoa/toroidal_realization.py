@@ -23,47 +23,22 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from math import floor
 
+from . import lattice_fock
 from .algebra_core import (BasisSymbol, ConfigError, Params, ToroidalElement,
                            _plain_to_tilde, bracket_symbols, d_sym, dt_sym,
                            g_sym, k_sym)
 from .finite_lie_data import (FiniteModule, GLModule, ReductiveF,
                               build_gl_module, build_module)
-from .lattice_fock import (HypLattice, _exp_term, _insert_osc, binom,
-                           coset_point, falling, fock_depth, heis_act_gen,
-                           hyp_virasoro_mode)
+# perfbench/tracer.py wraps _exp_term, heis_act_gen and hyp_virasoro_mode here
+from .lattice_fock import (HypLattice, _exp_term, _insert_osc, coset_point,
+                           falling, fock_depth, heis_act_gen,
+                           hyp_virasoro_mode, random_osc)
+from .linalg import merge, vec_add, vec_eq, vec_scale
 from .virasoro_affine import CentralCharacter, FModule, mode_of
 
 Q = Fraction
-
-
-def _merge(out, key, cf):
-    if cf:
-        v = out.get(key, Q(0)) + cf
-        if v:
-            out[key] = v
-        else:
-            del out[key]
-
-
-def vec_add(a, b, scale=Q(1)):
-    out = dict(a)
-    for k, v in b.items():
-        _merge(out, k, scale * v)
-    return out
-
-
-def vec_scale(a, s):
-    s = Q(s)
-    return {k: s * v for k, v in a.items()} if s else {}
-
-
-def vec_eq(a, b):
-    return vec_add(a, b, Q(-1)) == {}
-
-
-def f_depth_of(mono):
-    return sum(-mode_of(s) for s in mono)
 
 
 def unit_r(N, a, value=1):
@@ -138,9 +113,7 @@ class RealizationModule:
 
     def q_vector(self, m=None, fvec=None):
         """Tensor of the coset point e^{(alpha+m)u} with an f-side vector."""
-        fvec = fvec if fvec is not None else self.fmod.top_vector()
-        fk = ((), self.lattice_point(m))
-        return {(fk, key): cf for key, cf in fvec.items()}
+        return self.osc_vector((), m, fvec)
 
     def osc_vector(self, entries, m=None, fvec=None):
         osc = ()
@@ -216,128 +189,62 @@ class RealizationModule:
 
     # -- normally ordered application ----------------------------------------
 
-    @staticmethod
-    def _factor_weight(f):
-        if f[0] == "osc":
-            return 1 + f[2]
-        if f[0] in ("hypvir", "fvir"):
-            return 2
-        if f[0] == "cur":
-            return 1
-        return 0
-
-    def _min_exponent(self, factors, vec):
-        wsum = sum(self._factor_weight(f) for f in factors)
-        expy = None
-        for f in factors:
-            if f[0] == "exp":
-                expy = f[1]
-        best = None
-        for ((osc, lat), (mono, _t)) in vec:
-            xi = self.lat.form(expy, lat) if expy is not None else Q(0)
-            cand = xi - fock_depth(osc) - f_depth_of(mono) - wsum
-            if best is None or cand < best:
-                best = cand
-        return Q(0) if best is None else best
-
-    def _fock_max_depth(self, vec):
-        return max((fock_depth(osc) for ((osc, _l), _f) in vec), default=0)
-
-    def _f_max_depth(self, vec):
-        return max((f_depth_of(mono) for (_fk, (mono, _t)) in vec), default=0)
-
-    def _ann_exponents(self, factor, vec):
-        kind = factor[0]
-        if kind == "osc":
-            nd = factor[2]
-            dmax = self._fock_max_depth(vec)
-            return [-jj - 1 - nd for jj in range(-nd, dmax + 1)]
-        if kind == "hypvir":
-            dmax = self._fock_max_depth(vec)
-            return [-m - 2 for m in range(-1, dmax + 1)]
-        if kind == "fvir":
-            dmax = self._f_max_depth(vec)
-            return [-m - 2 for m in range(-1, dmax + 1)]
-        if kind == "cur":
-            dmax = self._f_max_depth(vec)
-            return [-m - 1 for m in range(0, dmax + 1)]
-        raise ConfigError(f"factor {kind!r} cannot be split")
-
-    def _factor_at(self, factor, e, vec):
-        kind = factor[0]
-        if kind == "exp":
-            out = {}
-            for ((osc, lat), fkey), cf in vec.items():
-                for fk2, c2 in _exp_term(self.lat, factor[1], Q(e), osc, lat).items():
-                    _merge(out, (fk2, fkey), cf * c2)
-            return out
-        if kind == "osc":
-            _, g, nd = factor
-            jmode = -e - 1 - nd
-            cf0 = binom(-jmode - 1, nd)
-            if cf0 == 0:
-                return {}
-            out = {}
-            for ((osc, lat), fkey), cf in vec.items():
-                for fk2, c2 in heis_act_gen(self.lat, g, jmode,
-                                            {(osc, lat): Q(1)}).items():
-                    _merge(out, (fk2, fkey), cf0 * cf * c2)
-            return out
-        if kind == "hypvir":
-            m = -e - 2
-            out = {}
-            for ((osc, lat), fkey), cf in vec.items():
-                for fk2, c2 in hyp_virasoro_mode(self.lat, m,
-                                                 {(osc, lat): Q(1)}).items():
-                    _merge(out, (fk2, fkey), cf * c2)
-            return out
-        if kind == "fvir":
-            m = -e - 2
-            out = {}
-            for (fk, (mono, top)), cf in vec.items():
-                for key2, c2 in self.fmod.apply_sym(("L", m), mono, top).items():
-                    _merge(out, (fk, key2), cf * c2)
-            return out
-        if kind == "cur":
-            m = -e - 1
-            out = {}
-            for (fk, (mono, top)), cf in vec.items():
-                for idx, w in factor[1]:
-                    for key2, c2 in self.fmod.apply_sym(("f", idx, m),
-                                                        mono, top).items():
-                        _merge(out, (fk, key2), w * cf * c2)
-            return out
-        raise ConfigError(f"unknown factor {kind!r}")
-
     def _term_ordered(self, factors, e, fk, fkey):
         """One basis monomial through the factor chain at one exponent;
-        memoized on the module so window sweeps share repeated work."""
+        memoized on the module so window sweeps share repeated work.
+
+        The Fock factors and the one M_f factor act on different tensor
+        factors and commute, so the z^e coefficient of the chain is the sum
+        over e2 of the lattice Fock product at z^(e - e2) tensored with the
+        M_f field at z^e2.
+        """
         key = (factors, e, fk, fkey)
         hit = self._term_cache.get(key)
         if hit is not None:
             return hit
-        term = {(fk, fkey): Q(1)}
-        if not factors:
-            out = term if e == 0 else {}
-        elif factors[0][0] == "exp":
-            out = self._factor_at(factors[0], e, term)
+        fock, expy, ffac = [], None, None
+        for f in factors:
+            if f[0] == "osc":
+                fock.append(f)
+            elif f[0] == "hypvir":
+                fock.append(("vir",))
+            elif f[0] == "exp":
+                expy = f[1]
+            elif f[0] in ("fvir", "cur"):
+                if ffac is not None:
+                    raise ConfigError("a factor chain takes at most one "
+                                      "M_f factor")
+                ffac = f
+            else:
+                raise ConfigError(f"unknown factor {f[0]!r}")
+        fock = tuple(fock)
+        (osc, lat), (mono, top) = fk, fkey
+        out = {}
+        if ffac is None:
+            for fk2, cf in lattice_fock._term_apply(self.lat, fock, expy, osc,
+                                                    lat, e).items():
+                out[(fk2, fkey)] = cf
         else:
-            F, rest = factors[0], factors[1:]
-            out = {}
-            for e1 in self._ann_exponents(F, term):
-                w = self._factor_at(F, e1, term)
-                for (fk2, fkey2), cf in w.items():
-                    for key2, c2 in self._term_ordered(rest, e - e1,
-                                                       fk2, fkey2).items():
-                        _merge(out, key2, cf * c2)
-            lo = self._min_exponent(rest, term)
-            e1 = 0
-            while Q(e) - e1 >= lo:
-                inner = self._term_ordered(rest, e - e1, fk, fkey)
-                if inner:
-                    for key2, cf in self._factor_at(F, e1, inner).items():
-                        _merge(out, key2, cf)
-                e1 += 1
+            # an M_f field of weight w kills depth-d monomials below z^(-d-w);
+            # the Fock product vanishes below its minimal exponent
+            depth = sum(-mode_of(s) for s in mono)
+            lo = -depth - (2 if ffac[0] == "fvir" else 1)
+            hi = e - lattice_fock._term_min_exponent(self.lat, fock, expy,
+                                                     osc, lat)
+            for e2 in range(lo, floor(hi) + 1):
+                fpart = lattice_fock._term_apply(self.lat, fock, expy, osc,
+                                                 lat, e - e2)
+                if not fpart:
+                    continue
+                if ffac[0] == "fvir":
+                    modes = [(Q(1), ("L", -e2 - 2))]
+                else:
+                    modes = [(w, ("f", idx, -e2 - 1)) for idx, w in ffac[1]]
+                for w, sym in modes:
+                    for fkey2, c2 in self.fmod.apply_sym(sym, mono,
+                                                         top).items():
+                        for fk2, c1 in fpart.items():
+                            merge(out, (fk2, fkey2), w * c1 * c2)
         self._term_cache[key] = out
         return out
 
@@ -346,7 +253,7 @@ class RealizationModule:
         ee = Q(e)
         for (fk, fkey), cf in vec.items():
             for key, c in self._term_ordered(factors, ee, fk, fkey).items():
-                _merge(out, key, cf * c)
+                merge(out, key, cf * c)
         return out
 
     # -- the action ------------------------------------------------------------
@@ -355,7 +262,7 @@ class RealizationModule:
         out = {}
         for coeff, factors, e in self.realize_plan(sym):
             for key, cf in self._apply_ordered(factors, e, vec).items():
-                _merge(out, key, coeff * cf)
+                merge(out, key, coeff * cf)
         return out
 
     def g_act(self, x, vec):
@@ -366,7 +273,7 @@ class RealizationModule:
             out = {}
             for sym, cf in x.terms.items():
                 for key, c in self.g_act_symbol(sym, vec).items():
-                    _merge(out, key, cf * c)
+                    merge(out, key, cf * c)
             return out
         raise ConfigError("g_act expects a basis symbol or an element")
 
@@ -410,16 +317,8 @@ class RealizationModule:
 
     def random_vector(self, rng: random.Random, max_depth=2, m_bound=1):
         """Seeded homogeneous basis vector of total depth <= max_depth."""
-        df = rng.randint(0, max_depth)
-        dff = max_depth - df
-        osc = ()
-        left = df
-        while left > 0:
-            step = rng.randint(1, left)
-            g = rng.randrange(2 * self.params.N)
-            osc = _insert_osc(osc, g, -step)
-            left -= step
-        monos = self.fmod.monomials_at(dff)
+        osc = random_osc(rng, self.params.N, max_depth)
+        monos = self.fmod.monomials_at(max_depth - fock_depth(osc))
         mono = rng.choice(monos) if monos else ()
         top = rng.choice(self.fmod.tops)
         m = tuple(rng.randint(-m_bound, m_bound) for _ in range(self.params.N))

@@ -128,6 +128,9 @@ class FModule:
         self.top_dim = V.dim * W.dim
         self.tops = [(iv, iw) for iv in range(V.dim) for iw in range(W.dim)]
         self._zero_action = self._build_zero_modes()
+        # dual-basis pairs of the three current sectors, read by sugawara_mode
+        self.quadratic = {which: fd.quadratic_pairs(which)
+                          for which in ("g", "sl", "hei")}
         self._cache = {}
 
     # -- static structure ---------------------------------------------------
@@ -272,10 +275,6 @@ def vector_depth(vec):
     return max(sum(-mode_of(s) for s in mono) for (mono, _top) in vec)
 
 
-def depths_of(vec):
-    return {sum(-mode_of(s) for s in mono) for (mono, _t) in vec}
-
-
 def raising_symbols(fd: ReductiveF):
     """Degree-1 and degree-2 raising generators."""
     syms = [("L", 1), ("L", 2)]
@@ -379,10 +378,10 @@ def sugawara_mode(module: FModule, m: int, vec):
             for key, v in _pair_mode(module, xc, yc, m, vec).items():
                 out[key] = out.get(key, Q(0)) + scale * cf * v
 
-    accumulate(fd.quadratic_pairs("g"), 2 * (gamma.c_g + fd.g.h_vee))
+    accumulate(module.quadratic["g"], 2 * (gamma.c_g + fd.g.h_vee))
     if fd.N >= 2:
-        accumulate(fd.quadratic_pairs("sl"), 2 * (gamma.c_sl + fd.N))
-    accumulate(fd.quadratic_pairs("hei"), 2 * gamma.c_hei)
+        accumulate(module.quadratic["sl"], 2 * (gamma.c_sl + fd.N))
+    accumulate(module.quadratic["hei"], 2 * gamma.c_hei)
     # derivative correction: -(c_vh/c_hei) dI(z) contributes
     # (c_vh/c_hei) (m+1) I(m) at Virasoro mode m
     cf = gamma.c_vh / gamma.c_hei * (m + 1)
@@ -391,13 +390,3 @@ def sugawara_mode(module: FModule, m: int, vec):
             out[key] = out.get(key, Q(0)) + cf * v
     return {k: v for k, v in out.items() if v}
 
-
-def vec_add(a, b, scale=Q(1)):
-    out = dict(a)
-    for k, v in b.items():
-        out[k] = out.get(k, Q(0)) + scale * v
-    return {k: v for k, v in out.items() if v}
-
-
-def vec_eq(a, b):
-    return vec_add(a, b, Q(-1)) == {}

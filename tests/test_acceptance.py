@@ -25,14 +25,14 @@ from torvoa import (Params, RealizationModule, random_symbol,
 from torvoa.algebra_core import dt_sym, jacobi_check
 from torvoa.characters import (colored_partition_count, compare,
                                enumerate_weight_spaces, product_formula_char)
-from torvoa.lattice_fock import HypLattice, _insert_osc, voa_axiom_check
-from torvoa.linalg import rref
+from torvoa.lattice_fock import HypLattice, random_state, voa_axiom_check
+from torvoa.linalg import rref, vec_add, vec_eq, vec_scale
+from torvoa.linalg import vec_add as f_vec_add
+from torvoa.linalg import vec_eq as f_vec_eq
 from torvoa.toroidal_realization import (_index_box,
                                          field_commutator_window_check,
                                          relation_check, top_action_check,
-                                         unit_r, vec_add, vec_eq, vec_scale)
-from torvoa.virasoro_affine import vec_add as f_vec_add
-from torvoa.virasoro_affine import vec_eq as f_vec_eq
+                                         unit_r)
 
 SEED = 20240608
 
@@ -84,14 +84,7 @@ def test_ac3_voa_axioms():
     rng = random.Random(SEED)
 
     def rand_state(maxdeg):
-        depth = rng.randint(0, maxdeg)
-        osc = ()
-        left = depth
-        while left:
-            s = rng.randint(1, left)
-            osc = _insert_osc(osc, rng.randrange(2), -s)
-            left -= s
-        return {(osc, (Q(rng.randint(-1, 1)), Q(0))): Q(1)}
+        return random_state(lat, rng, maxdeg)
 
     bad = 0
     for _ in range(50):

@@ -197,12 +197,11 @@ class TestProcess:
         path.write_text(MINIMAL, encoding="utf-8")
         out = tmp_path / "report.json"
         proc = subprocess.run(
-            [sys.executable, "-c",
-             "import sys; from torvoa.cli import main; sys.exit(main())",
-             str(path), "--json", str(out)],
+            [sys.executable, "-m", "torvoa", str(path), "--json", str(out)],
             capture_output=True, text=True,
             input=None)
         assert proc.returncode == 0, proc.stderr
+        assert proc.stderr == ""
         report = json.loads(out.read_text())
         assert report["command"] == "char"
         assert report["params"]["depth"] == "2"
@@ -211,11 +210,10 @@ class TestProcess:
         path = tmp_path / "run.torvoa"
         path.write_text(MINIMAL, encoding="utf-8")
         proc = subprocess.run(
-            [sys.executable, "-c",
-             "import sys; from torvoa.cli import main; sys.exit(main())",
-             str(path), "--depth", "1"],
+            [sys.executable, "-m", "torvoa", str(path), "--depth", "1"],
             capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
+        assert proc.stderr == ""
         report = json.loads(proc.stdout)
         assert report["params"]["depth"] == "1"
         assert set(report["tables"]["enumerated"]) == {"0", "1"}
@@ -224,9 +222,7 @@ class TestProcess:
         path = tmp_path / "bad.torvoa"
         path.write_text(MINIMAL.replace("c = 2", "c = 0"), encoding="utf-8")
         proc = subprocess.run(
-            [sys.executable, "-c",
-             "import sys; from torvoa.cli import main; sys.exit(main())",
-             str(path)],
+            [sys.executable, "-m", "torvoa", str(path)],
             capture_output=True, text=True)
         assert proc.returncode == 2
         assert "c != 0" in proc.stderr
@@ -236,11 +232,10 @@ class TestProcess:
         path.write_text(MINIMAL.replace("certify = false", "certify = true"),
                         encoding="utf-8")
         proc = subprocess.run(
-            [sys.executable, "-c",
-             "import sys; from torvoa.cli import main; sys.exit(main())",
-             str(path)],
+            [sys.executable, "-m", "torvoa", str(path)],
             capture_output=True, text=True)
         assert proc.returncode == 1
+        assert proc.stderr == ""
         report = json.loads(proc.stdout)
         statuses = {c["id"]: c["status"] for c in report["checks"]}
         assert statuses["char:certified"] == "fail"

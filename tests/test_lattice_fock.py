@@ -7,7 +7,7 @@ from torvoa import (HypLattice, exp_vertex_mode, field_mode, heis_act,
                     hyp_virasoro_mode, osc_field, state_mode, vacuum_vector,
                     voa_axiom_check)
 from torvoa.lattice_fock import (FieldHandle, _insert_osc, coset_point,
-                                 state_degree, translate)
+                                 random_state, state_degree, translate)
 
 
 @pytest.fixture(scope="module")
@@ -250,16 +250,7 @@ class TestAxioms:
     def test_seeded_batch(self, lat1):
         rng = random.Random(424)
 
-        def rand_state(maxdeg):
-            depth = rng.randint(0, maxdeg)
-            osc = ()
-            left = depth
-            while left:
-                s = rng.randint(1, left)
-                osc = _insert_osc(osc, rng.randrange(2), -s)
-                left -= s
-            return {(osc, (Q(rng.randint(-1, 1)), Q(0))): Q(1)}
-
         for _ in range(6):
-            a, b, c = rand_state(2), rand_state(2), rand_state(2)
+            a, b, c = (random_state(lat1, rng, 2), random_state(lat1, rng, 2),
+                       random_state(lat1, rng, 2))
             assert voa_axiom_check(lat1, a, b, c, window=2) == []

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction as Q
+from math import floor
 
 import pytest
 
@@ -10,7 +11,8 @@ from torvoa.toroidal_realization import (RELATION_IDS, _index_box,
                                          field_commutator_window_check,
                                          field_symbol, relation_check,
                                          rhs_mode_element, top_action_check,
-                                         unit_r, vec_add, vec_eq, vec_scale)
+                                         unit_r)
+from torvoa.linalg import vec_add, vec_eq, vec_scale
 
 
 def _osc_monomials(N, depth):
@@ -314,3 +316,59 @@ class TestVirasoroStructure:
                 hyp = M._apply_ordered((("hypvir",), ex), -j - 2, v)
                 fv = M._apply_ordered((("fvir",), ex), -j - 2, v)
                 assert vec_eq(got, vec_add(hyp, fv))
+
+
+class TestTensorSplit:
+    """The composite action is the lattice Fock product tensored with one
+    M_f mode: compare the engine with that sum built from public calls."""
+
+    @staticmethod
+    def _chains(M):
+        y = M._exp_vec(unit_r(M.params.N, 1))
+        ex = ("exp", y)
+        e11 = M.fd.e_index(1, 1)
+        # (factor chain, Fock factors, M_f field at z^e2 on an M_f vector)
+        return [
+            ((("osc", 0, 0), ("cur", ((e11, Q(1)),)), ex), (("osc", 0, 0),),
+             lambda e2, fv: M.fmod.act_current({e11: Q(1)}, -e2 - 1, fv), 1),
+            ((("cur", ((0, Q(1)),)), ex), (),
+             lambda e2, fv: M.fmod.act(("f", 0, -e2 - 1), fv), 1),
+            ((("fvir",), ex), (),
+             lambda e2, fv: M.fmod.act(("L", -e2 - 2), fv), 2),
+        ]
+
+    @pytest.mark.parametrize("fixture", ["module_n1", "module_n2_natural"])
+    def test_matches_fock_product_times_f_mode(self, fixture, request):
+        from torvoa.lattice_fock import FieldHandle, field_mode
+        M = request.getfixturevalue(fixture)
+        for chain, fock, f_field, weight in self._chains(M):
+            y = chain[-1][1]
+            fock_weight = sum(1 + f[2] for f in fock)
+            for v in M.sample_vectors(2):
+                for e in range(-3, 3):
+                    want = {}
+                    for ((osc, lat), (mono, top)), cf in v.items():
+                        # the engine's e2 range, widened by two on each side
+                        f_depth = sum(-s[-1] for s in mono)
+                        fock_min = M.lat.form(y, lat) \
+                            - sum(-m for _g, m in osc) - fock_weight
+                        lo = -f_depth - weight - 2
+                        hi = floor(e - fock_min) + 2
+                        for e2 in range(lo, hi + 1):
+                            fpart = field_mode(M.lat, FieldHandle(fock, y),
+                                               e - e2, {(osc, lat): Q(1)})
+                            mpart = f_field(e2, {(mono, top): Q(1)})
+                            for fk, c1 in fpart.items():
+                                for fkey, c2 in mpart.items():
+                                    want = vec_add(want, {(fk, fkey): c1 * c2},
+                                                   cf)
+                    got = M._apply_ordered(chain, e, v)
+                    assert vec_eq(got, want), (chain, e, v)
+
+    def test_bad_chains_rejected(self, module_n1):
+        v = module_n1.top_vector()
+        cur = ("cur", ((0, Q(1)),))
+        with pytest.raises(ConfigError):
+            module_n1._apply_ordered((("bogus",),), -1, v)
+        with pytest.raises(ConfigError):
+            module_n1._apply_ordered((cur, ("fvir",)), -3, v)

@@ -7,7 +7,7 @@ from torvoa import (CentralCharacter, CriticalLevelError, FModule, ReductiveF,
                     build_gl_module, build_module, f_bracket,
                     singular_vectors, sugawara_constants, sugawara_mode)
 from torvoa.characters import colored_partition_count
-from torvoa.virasoro_affine import vec_add, vec_eq
+from torvoa.linalg import vec_add, vec_eq
 
 
 @pytest.fixture(scope="module")
