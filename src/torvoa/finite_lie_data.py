@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .linalg import det, invert
+from .linalg import echelon, invert
 
 Q = Fraction
 
@@ -495,4 +495,4 @@ def form_is_invariant(alg: SimpleAlgebra) -> bool:
 
 
 def form_is_nondegenerate(alg: SimpleAlgebra) -> bool:
-    return det([list(r) for r in alg.form]) != 0
+    return len(echelon(alg.form)) == len(alg.form)

@@ -1,7 +1,8 @@
 """Exact linear algebra over rationals: sparse vectors {key: Fraction}
-without zero entries, and row echelon, nullspace and inverse of dense
-matrices, which are lists of lists of Fraction.  The matrix routines are
-deliberately simple; matrices at desk scale stay in the hundreds of rows.
+without zero entries, and one sparse reduced row echelon kernel
+(``echelon``) on which the rank, ``nullspace`` and ``invert`` are built.
+The matrices of the singular-vector search are a few percent dense, so the
+kernel keeps its rows as sparse dicts and never touches a zero entry.
 """
 
 from __future__ import annotations
@@ -39,62 +40,65 @@ def vec_eq(a, b):
     return vec_add(a, b, Q(-1)) == {}
 
 
-def rref(rows):
-    """Reduce ``rows`` in place to reduced row echelon form.
+def _subtract(out, f, row):
+    """out -= f * row, in place on the sparse vector ``out``; ``f`` and the
+    entries of ``row`` are nonzero, so only entries already in ``out`` can
+    cancel."""
+    for c, v in row.items():
+        x = out.get(c, 0) - f * v
+        if x:
+            out[c] = x
+        else:
+            del out[c]
 
-    Returns the list of pivot column indices.
+
+def echelon(rows):
+    """Reduced row echelon form of the matrix given by ``rows``.
+
+    Rows may be sparse dicts {col: value} or dense lists.  Rows are added
+    one at a time: each is reduced against the pivot rows found so far, and
+    if anything is left its leading column becomes a new pivot, which is
+    then eliminated from the older pivot rows.  The pivot rows therefore
+    stay fully reduced, and at the end they are the nonzero rows of the
+    (unique) reduced row echelon form.
+
+    Returns {pivot column: sparse row} with a 1 at the pivot column and no
+    entry at any other pivot column; the rank is its length.
     """
-    if not rows:
-        return []
-    ncols = len(rows[0])
-    pivots = []
-    rank = 0
-    for col in range(ncols):
-        piv = None
-        for i in range(rank, len(rows)):
-            if rows[i][col] != 0:
-                piv = i
-                break
-        if piv is None:
+    pivots = {}
+    for row in rows:
+        items = row.items() if isinstance(row, dict) else enumerate(row)
+        r = {c: Q(x) for c, x in items if x}
+        for p in [c for c in r if c in pivots]:
+            _subtract(r, r[p], pivots[p])
+        if not r:
             continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        inv = Q(1) / rows[rank][col]
-        rows[rank] = [x * inv for x in rows[rank]]
-        for i in range(len(rows)):
-            if i != rank and rows[i][col] != 0:
-                f = rows[i][col]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[rank])]
-        pivots.append(col)
-        rank += 1
-        if rank == len(rows):
-            break
+        p = min(r)
+        inv = 1 / r[p]
+        r = {c: v * inv for c, v in r.items()}
+        for s in pivots.values():
+            if p in s:
+                _subtract(s, s[p], r)
+        pivots[p] = r
     return pivots
 
 
 def nullspace(rows, ncols):
     """Basis of the right nullspace of the matrix given by ``rows``.
 
-    Rows may be sparse dicts {col: value} or dense lists.  Returns a list of
-    dense Fraction vectors of length ``ncols``.
+    Rows may be sparse dicts {col: value} or dense lists.  Returns one dense
+    Fraction vector of length ``ncols`` per free column, in increasing
+    column order, with a 1 at that free column and 0 at every other one.
     """
-    dense = []
-    for r in rows:
-        if isinstance(r, dict):
-            v = [Q(0)] * ncols
-            for c, x in r.items():
-                v[c] = Q(x)
-            dense.append(v)
-        else:
-            dense.append([Q(x) for x in r])
-    pivots = rref(dense)
-    pivot_set = set(pivots)
-    free = [c for c in range(ncols) if c not in pivot_set]
+    pivots = echelon(rows)
     basis = []
-    for fcol in free:
+    for fcol in range(ncols):
+        if fcol in pivots:
+            continue
         vec = [Q(0)] * ncols
         vec[fcol] = Q(1)
-        for i, pcol in enumerate(pivots):
-            vec[pcol] = -dense[i][fcol]
+        for pcol, prow in pivots.items():
+            vec[pcol] = -prow.get(fcol, Q(0))
         basis.append(vec)
     return basis
 
@@ -102,34 +106,9 @@ def nullspace(rows, ncols):
 def invert(mat):
     """Exact inverse of a square Fraction matrix."""
     n = len(mat)
-    aug = [[Q(x) for x in row] + [Q(1) if i == j else Q(0) for j in range(n)]
+    aug = [list(row) + [int(i == j) for j in range(n)]
            for i, row in enumerate(mat)]
-    pivots = rref(aug)
-    if pivots[:n] != list(range(n)):
+    pivots = echelon(aug)
+    if sorted(pivots) != list(range(n)):
         raise ValueError("matrix is singular")
-    return [row[n:] for row in aug]
-
-
-def det(mat):
-    """Exact determinant by fraction-free-ish Gaussian elimination."""
-    n = len(mat)
-    m = [[Q(x) for x in row] for row in mat]
-    result = Q(1)
-    for col in range(n):
-        piv = None
-        for i in range(col, n):
-            if m[i][col] != 0:
-                piv = i
-                break
-        if piv is None:
-            return Q(0)
-        if piv != col:
-            m[col], m[piv] = m[piv], m[col]
-            result = -result
-        result *= m[col][col]
-        inv = Q(1) / m[col][col]
-        for i in range(col + 1, n):
-            if m[i][col] != 0:
-                f = m[i][col] * inv
-                m[i] = [a - f * b for a, b in zip(m[i], m[col])]
-    return result
+    return [[pivots[i].get(n + j, Q(0)) for j in range(n)] for i in range(n)]

@@ -26,7 +26,7 @@ from torvoa.algebra_core import dt_sym, jacobi_check
 from torvoa.characters import (colored_partition_count, compare,
                                enumerate_weight_spaces, product_formula_char)
 from torvoa.lattice_fock import HypLattice, random_state, voa_axiom_check
-from torvoa.linalg import rref, vec_add, vec_eq, vec_scale
+from torvoa.linalg import echelon, vec_add, vec_eq, vec_scale
 from torvoa.linalg import vec_add as f_vec_add
 from torvoa.linalg import vec_eq as f_vec_eq
 from torvoa.toroidal_realization import (_index_box,
@@ -203,7 +203,7 @@ def test_ac8_character_identity(module_n1, module_n2):
 
 def _rank(vectors):
     keys = sorted({k for v in vectors for k in v}, key=repr)
-    return len(rref([[v.get(k, Q(0)) for k in keys] for v in vectors]))
+    return len(echelon([[v.get(k, Q(0)) for k in keys] for v in vectors]))
 
 
 def test_ac8_singular_certification(module_n1):

@@ -1,0 +1,154 @@
+"""The sparse echelon kernel against sympy's exact DomainMatrix over QQ.
+
+sympy is a test-only oracle; the package itself needs only the standard
+library.  Matrices are seeded random sparse rationals, tall, wide and
+square, with zero rows, repeated and dependent rows, negative entries and
+large denominators, handed to the kernel both as dict rows and as dense
+list rows.
+"""
+
+import random
+from fractions import Fraction as Q
+
+import pytest
+
+from torvoa.linalg import echelon, invert, nullspace
+
+QQ = pytest.importorskip("sympy").QQ
+DomainMatrix = pytest.importorskip("sympy.polys.matrices").DomainMatrix
+
+DENOMINATORS = (1, 1, 2, 3, 7, 10**9 + 7, 2**61 - 1, 10**30)
+SHAPES = [(12, 7), (7, 12), (10, 10), (18, 26), (26, 18), (1, 5), (5, 1)]
+SEEDS = range(6)
+
+
+def _entry(rng):
+    num = rng.randint(-10**6, 10**6) or 1
+    return Q(num, rng.choice(DENOMINATORS))
+
+
+def _random_rows(rng, nrows, ncols):
+    """Sparse dict rows; about a third are zero, repeated or dependent."""
+    density = rng.choice((0.15, 0.3, 0.6))
+    rows = []
+    for _ in range(nrows):
+        kind = rng.random()
+        if kind < 0.1:
+            rows.append({})
+        elif rows and kind < 0.2:
+            rows.append(dict(rng.choice(rows)))
+        elif len(rows) >= 2 and kind < 0.35:
+            a, b = rng.sample(rows, 2)
+            s, t = _entry(rng), _entry(rng)
+            row = {c: s * a.get(c, 0) + t * b.get(c, 0) for c in {*a, *b}}
+            rows.append({c: v for c, v in row.items() if v})
+        else:
+            rows.append({c: _entry(rng) for c in range(ncols)
+                         if rng.random() < density})
+    return rows
+
+
+def _dense(rows, ncols):
+    return [[row.get(c, 0) for c in range(ncols)] for row in rows]
+
+
+def _given(rows, ncols, form):
+    """The rows as the kernel receives them, integral entries as ints."""
+    plain = [{c: int(v) if v.denominator == 1 else v for c, v in row.items()}
+             for row in rows]
+    return plain if form == "dict" else _dense(plain, ncols)
+
+
+def _domain(rows, ncols):
+    dense = [[QQ(x.numerator, x.denominator) for x in map(Q, row)]
+             for row in _dense(rows, ncols)]
+    return DomainMatrix(dense, (len(rows), ncols), QQ)
+
+
+def _fractions(dm):
+    return [[Q(int(x.numerator), int(x.denominator)) for x in row]
+            for row in dm.to_list()]
+
+
+def _matvec(rows, vec):
+    return [sum((v * vec[c] for c, v in row.items()), Q(0)) for row in rows]
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize("nrows,ncols", SHAPES)
+@pytest.mark.parametrize("form", ["dict", "list"])
+def test_echelon_and_nullspace_match_oracle(nrows, ncols, seed, form):
+    rng = random.Random(1000 * seed + 10 * nrows + ncols)
+    rows = _random_rows(rng, nrows, ncols)
+    given = _given(rows, ncols, form)
+
+    oracle = _domain(rows, ncols)
+    ref, ref_pivots = oracle.rref()
+    ref = _fractions(ref)
+
+    pivots = echelon(given)
+    assert len(pivots) == len(ref_pivots)
+    assert sorted(pivots) == list(ref_pivots)
+    for i, p in enumerate(ref_pivots):
+        assert _dense([pivots[p]], ncols)[0] == ref[i]
+
+    # the canonical basis: one vector per free column, in increasing free
+    # column order, with a 1 there and a 0 at every other free column
+    free = [c for c in range(ncols) if c not in ref_pivots]
+    expected = []
+    for f in free:
+        vec = [Q(0)] * ncols
+        vec[f] = Q(1)
+        for i, p in enumerate(ref_pivots):
+            vec[p] = -ref[i][f]
+        expected.append(vec)
+    basis = nullspace(given, ncols)
+    assert basis == expected
+    assert all(type(x) is Q for vec in basis for x in vec)
+    for vec in basis:
+        assert _matvec(rows, vec) == [0] * nrows
+    # sympy's own nullspace basis spans the same space: each of its vectors
+    # is the combination of ours given by its free-column entries
+    theirs = _fractions(oracle.nullspace())
+    assert len(theirs) == len(basis)
+    for w in theirs:
+        assert w == [sum((w[f] * vec[c] for f, vec in zip(free, basis)), Q(0))
+                     for c in range(ncols)]
+
+
+def _invertible(rng, n):
+    while True:
+        rows = [{c: _entry(rng) for c in range(n) if rng.random() < 0.4}
+                for _ in range(n)]
+        if _domain(rows, n).rank() == n:
+            return rows
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 9])
+@pytest.mark.parametrize("seed", SEEDS)
+def test_invert_matches_oracle(n, seed):
+    rng = random.Random(seed * 31 + n)
+    rows = _invertible(rng, n)
+    mat = _dense(rows, n)
+    inv = invert(mat)
+    assert all(type(x) is Q for row in inv for x in row)
+    assert inv == _fractions(_domain(rows, n).inv())
+    identity = [[Q(int(i == j)) for j in range(n)] for i in range(n)]
+    product = [[sum((inv[i][k] * mat[k][j] for k in range(n)), Q(0))
+                 for j in range(n)] for i in range(n)]
+    assert product == identity
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_invert_rejects_singular(seed):
+    rng = random.Random(seed)
+    n = 6
+    rows = _invertible(rng, n)
+    a, b = rng.sample(range(n - 1), 2)
+    s, t = _entry(rng), _entry(rng)
+    dependent = rows[:-1] + [{c: s * rows[a].get(c, 0) + t * rows[b].get(c, 0)
+                              for c in range(n)}]
+    for singular in (dependent, rows[:-1] + [{}], [{}] * n):
+        assert _domain(singular, n).rank() < n
+        with pytest.raises(ValueError):
+            invert(_dense(singular, n))

@@ -150,20 +150,28 @@ class TestSingular:
         assert len(found) == 1
         assert found[0] == {((("L", -1),), (0, 0)): Q(1)}
 
-    def test_reference_depths_n1(self, params_n1, sl2):
-        # the distinguished top at the reference parameters: depth 1 carries
-        # the translation vector, depth 2 is clean, depth 3 carries the
-        # integer-level current null vectors (c = 2)
+    @pytest.fixture(scope="class")
+    def flat_n1(self, params_n1, sl2):
+        """The full and the vacuum flavor of the N = 1 flat top at the
+        reference parameters."""
         fd = ReductiveF(sl2, 1)
         gamma = CentralCharacter.from_params(params_n1)
         V = build_module(sl2, "trivial")
         W = build_gl_module(1, "trivial", id_scalar=Q(0))
-        mod = FModule(fd, gamma, V, W, h_hei=Q(0), h_vir=Q(0))
+        return (FModule(fd, gamma, V, W, h_hei=Q(0), h_vir=Q(0)),
+                FModule(fd, gamma, V, W, h_hei=Q(0), h_vir=Q(0),
+                        vacuum=True))
+
+    def test_reference_depths_n1(self, flat_n1):
+        # the distinguished top at the reference parameters: depth 1 carries
+        # the translation vector, depth 2 is clean, depth 3 carries the
+        # integer-level current null vectors (c = 2)
+        mod, vac = flat_n1
+        fd = mod.fd
         assert len(singular_vectors(mod, 1)) == 1
         assert len(singular_vectors(mod, 2)) == 0
         assert len(singular_vectors(mod, 3)) == 7
 
-        vac = FModule(fd, gamma, V, W, h_hei=Q(0), h_vir=Q(0), vacuum=True)
         assert singular_vectors(vac, 1) == []
         assert singular_vectors(vac, 2) == []
         found3 = singular_vectors(vac, 3)
@@ -178,6 +186,15 @@ class TestSingular:
         raising += [("f", i, n) for i in range(fd.dim) for n in (1, 2)]
         for sym in raising:
             assert vac.act(sym, v) == {}
+
+    def test_reference_depth5_n1(self, flat_n1):
+        # the singular space is the tensor product of the factors' ones: the
+        # Virasoro Verma module at c' = 13/2, h' = 0 has only L(-1) (h_{1,1};
+        # h = 1 is no Kac value), the submodule of the level-2 sl_2 Weyl
+        # module generated by e(-1)^3 at depth 3 is irreducible, and the
+        # Heisenberg factor has none; nothing lies at depth 5 in either flavor
+        for mod in flat_n1:
+            assert singular_vectors(mod, 5) == []
 
     def test_generic_weights_clean_at_low_depth(self, fd2, gamma2, sl2):
         V = build_module(sl2, "trivial")
