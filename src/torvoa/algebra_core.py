@@ -396,3 +396,19 @@ def random_symbol(params: Params, rng: random.Random, jmax=3, rmax=2,
     else:
         idx = rng.randrange(params.N + 1)
     return BasisSymbol(tag, j, r, idx)
+
+
+def jacobi_sweep(params: Params, rng: random.Random, count, jmax, rmax):
+    """Draw ``count`` seeded triples of basis symbols; check the Jacobi
+    identity on each triple and antisymmetry on its first two symbols.
+
+    Returns (Jacobi passes, antisymmetry passes).
+    """
+    good = anti_good = 0
+    for _ in range(count):
+        a, b, c = (random_symbol(params, rng, jmax=jmax, rmax=rmax)
+                   for _ in range(3))
+        good += jacobi_check(params, a, b, c)
+        anti_good += (bracket_symbols(params, a, b)
+                      + bracket_symbols(params, b, a)).is_zero()
+    return good, anti_good

@@ -5,6 +5,10 @@ Run files are line oriented: ``[section]`` headers, ``key = value`` pairs,
 (optionally signed ``p`` or ``p/q``), quoted identifiers, booleans, or
 bracketed lists (nested for matrices).  Unknown sections or keys are errors.
 
+Every key has one kind in ``_KNOWN_KEYS``; ``validate_spec`` checks each
+value against it.  Each command is one function in ``COMMANDS`` that returns
+its checks and tables.
+
 Report schema (JSON): top-level keys ``command``, ``params``, ``derived``,
 ``checks``, ``tables``; every dimension is emitted as a decimal string.
 The process exit status is 0 exactly when every check passed.
@@ -18,31 +22,57 @@ import random
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import NamedTuple
 
-from .algebra_core import ConfigError, Params, jacobi_check, random_symbol
+from .algebra_core import ConfigError, Params, jacobi_sweep
 from .characters import (ResourceLimitError, compare, enumerate_weight_spaces,
                          product_formula_char)
 from .finite_lie_data import (ValidationError, build_gl_module, build_module,
-                              casimir_eigenvalue, simple_algebra)
-from .lattice_fock import (HypLattice, _insert_osc, random_state,
-                           vacuum_vector, voa_axiom_check)
-from .linalg import vec_add, vec_eq
+                              simple_algebra)
+from .lattice_fock import (HypLattice, heis_act_gen, random_triples,
+                           vacuum_vector, voa_sweep)
+from .linalg import vec_eq, vec_scale
 from .toroidal_realization import (RealizationModule, RELATION_IDS,
                                    default_identity_pairs,
                                    field_commutator_window_check, relation_check,
                                    top_action_check)
 from .virasoro_affine import (CriticalLevelError, singular_vectors,
-                              sugawara_constants, sugawara_mode)
+                              sugawara_mode, sugawara_sweep,
+                              sugawara_test_vectors)
 
 Q = Fraction
 
-COMMANDS = ("verify-jacobi", "verify-fields", "verify-voa", "verify-sugawara",
-            "verify-realization", "singular", "char")
-
+# every key has one kind; validate_spec checks each value against it
 _KNOWN_KEYS = {
-    "algebra": ("N", "g", "mu", "nu", "c"),
-    "module": ("alpha", "V", "W", "h", "d", "V_matrices", "W_matrices"),
-    "task": ("command", "depth", "window", "seed", "certify"),
+    "algebra": {"N": "count", "g": "identifier", "mu": "rational",
+                "nu": "rational", "c": "rational"},
+    "module": {"alpha": "rationals", "V": "identifier", "W": "identifier",
+               "h": "rational", "d": "rational", "V_matrices": "matrices",
+               "W_matrices": "matrices"},
+    "task": {"command": "identifier", "depth": "count", "window": "count",
+             "seed": "count", "certify": "bool"},
+}
+
+
+def _is_matrices(v):
+    """A list of nonempty square matrices of rationals, all of one size."""
+    if not isinstance(v, list) or not all(isinstance(m, list) and m for m in v):
+        return False
+    n = len(v[0]) if v else 0
+    return all(len(m) == n and all(
+        isinstance(row, list) and len(row) == n
+        and all(isinstance(x, Q) for x in row) for row in m) for m in v)
+
+
+_KINDS = {
+    "rational": (lambda v: isinstance(v, Q), "a rational"),
+    "identifier": (lambda v: isinstance(v, str), "a quoted identifier"),
+    "count": (lambda v: isinstance(v, Q) and v.denominator == 1 and v >= 0,
+              "a nonnegative integer"),
+    "bool": (lambda v: isinstance(v, bool), "true or false"),
+    "rationals": (lambda v: isinstance(v, list)
+                  and all(isinstance(x, Q) for x in v), "a list of rationals"),
+    "matrices": (_is_matrices, "a list of square matrices of one size"),
 }
 
 
@@ -183,41 +213,27 @@ def parse_spec(text: str) -> SpecFile:
 
 def validate_spec(spec: SpecFile):
     alg = spec.algebra
-    for key in ("N", "g", "mu", "nu", "c"):
+    for key in _KNOWN_KEYS["algebra"]:
         if key not in alg:
             raise SpecFileError(f"[algebra] is missing {key!r}")
+    if "command" not in spec.task:
+        raise SpecFileError("[task] is missing 'command'")
+    for section, kinds in _KNOWN_KEYS.items():
+        for key, value in getattr(spec, section).items():
+            accepts, what = _KINDS[kinds[key]]
+            if not accepts(value):
+                raise SpecFileError(f"{key} must be {what}")
     N = alg["N"]
-    if not isinstance(N, Q) or N.denominator != 1 or N < 1:
+    if N < 1:
         raise SpecFileError("N must be a positive integer")
-    if not isinstance(alg["g"], str):
-        raise SpecFileError("g must be a quoted identifier")
     if alg["c"] == 0:
         raise SpecFileError(
             "c = 0 is rejected: bounded weight modules with a nonzero central "
             "action exist only for the character (c, 0, ..., 0) with c != 0")
-    task = spec.task
-    if "command" not in task:
-        raise SpecFileError("[task] is missing 'command'")
-    if task["command"] not in COMMANDS:
-        raise SpecFileError(f"unknown command {task['command']!r}")
-    for key in ("depth", "window", "seed"):
-        if key in task:
-            v = task[key]
-            if not isinstance(v, Q) or v.denominator != 1 or v < 0:
-                raise SpecFileError(f"{key} must be a nonnegative integer")
-    if "certify" in task and not isinstance(task["certify"], bool):
-        raise SpecFileError("certify must be true or false")
-    mod = spec.module
-    if "alpha" in mod:
-        if not isinstance(mod["alpha"], list) or len(mod["alpha"]) != int(N):
-            raise SpecFileError(f"alpha must be a list of {int(N)} rationals")
-    for key in ("V", "W"):
-        if key in mod and not isinstance(mod[key], str):
-            raise SpecFileError(f"{key} must be a quoted identifier")
-
-
-def _to_matrices(data):
-    return [[[Q(x) for x in row] for row in mat] for mat in data]
+    if spec.task["command"] not in COMMANDS:
+        raise SpecFileError(f"unknown command {spec.task['command']!r}")
+    if "alpha" in spec.module and len(spec.module["alpha"]) != N:
+        raise SpecFileError(f"alpha must be a list of {N} rationals")
 
 
 def build_context(spec: SpecFile):
@@ -230,54 +246,32 @@ def build_context(spec: SpecFile):
     except ConfigError as exc:
         raise SpecFileError(str(exc))
     mod = spec.module
-    vkind = mod.get("V", "trivial")
-    if vkind == "explicit":
-        if "V_matrices" not in mod:
-            raise SpecFileError("V = \"explicit\" needs V_matrices")
-        V = build_module(gd, "explicit", mats=_to_matrices(mod["V_matrices"]))
-    else:
-        V = build_module(gd, vkind)
+    if mod.get("V") == "explicit" and "V_matrices" not in mod:
+        raise SpecFileError('V = "explicit" needs V_matrices')
+    if mod.get("W") == "explicit" and params.N >= 2 and "W_matrices" not in mod:
+        raise SpecFileError('W = "explicit" needs W_matrices')
+    V = build_module(gd, mod.get("V", "trivial"), mats=mod.get("V_matrices"))
     h = mod.get("h")
-    wkind = mod.get("W", "trivial")
-    h_default = params.N * params.nu * params.c
-    id_scalar = h if h is not None else h_default
-    if wkind == "explicit":
-        if params.N == 1:
-            W = build_gl_module(1, "explicit", id_scalar=id_scalar)
-        else:
-            if "W_matrices" not in mod:
-                raise SpecFileError("W = \"explicit\" needs W_matrices")
-            W = build_gl_module(params.N, "explicit", id_scalar=id_scalar,
-                                sl_mats=_to_matrices(mod["W_matrices"]))
-    else:
-        W = build_gl_module(params.N, wkind, id_scalar=id_scalar)
-    alpha = mod.get("alpha")
-    module = RealizationModule(params, alpha=alpha, V=V, W=W,
+    W = build_gl_module(params.N, mod.get("W", "trivial"),
+                        id_scalar=h if h is not None
+                        else params.N * params.nu * params.c,
+                        sl_mats=mod.get("W_matrices"))
+    module = RealizationModule(params, alpha=mod.get("alpha"), V=V, W=W,
                                h=h, d=mod.get("d"))
     return params, module
-
-
-def _fmt(x):
-    return str(x)
 
 
 def _derived_block(module):
     gamma = module.gamma0
     out = {
-        "gamma0": {k: _fmt(v) for k, v in gamma.as_dict().items()},
-        "h_hei": _fmt(module.h_hei),
-        "h_vir": _fmt(module.h_vir),
+        "gamma0": {k: str(v) for k, v in gamma.as_dict().items()},
+        "h_hei": str(module.h_hei),
+        "h_vir": str(module.h_vir),
     }
     try:
-        omega_v = casimir_eigenvalue(module.params.g_dot, module.V)
-        omega_w = Q(0)
-        if module.params.N >= 2 and module.W.sl_module() is not None:
-            sl = module.fd.sl
-            omega_w = casimir_eigenvalue(sl, module.W.sl_module())
-        c_prime, h_prime = sugawara_constants(
-            module.fd, gamma, omega_v, omega_w, module.h_hei, module.h_vir)
-        out["c_vir_prime"] = _fmt(c_prime)
-        out["h_vir_prime"] = _fmt(h_prime)
+        c_prime, h_prime = module.sugawara_constants()
+        out["c_vir_prime"] = str(c_prime)
+        out["h_vir_prime"] = str(h_prime)
     except (CriticalLevelError, ValidationError) as exc:
         out["c_vir_prime"] = None
         out["h_vir_prime"] = None
@@ -289,6 +283,115 @@ def _check(cid, ok, details):
     return {"id": cid, "status": "pass" if ok else "fail", "details": details}
 
 
+def _count_check(cid, checked, failures):
+    return _check(cid, not failures, f"{checked - len(failures)}/{checked}")
+
+
+class Task(NamedTuple):
+    depth: int
+    window: int
+    certify: bool
+
+
+# ---------------------------------------------------------------------------
+# one sweep per command: (module, rng, task) -> (checks, tables)
+# ---------------------------------------------------------------------------
+
+def verify_jacobi(module, rng, task):
+    count = 500
+    # the time exponents are drawn from the window
+    good, anti_good = jacobi_sweep(module.params, rng, count, task.window, 2)
+    return [_check("jacobi", good == count, f"{good}/{count}"),
+            _check("antisymmetry", anti_good == count,
+                   f"{anti_good}/{count}")], {}
+
+
+def verify_fields(module, rng, task):
+    vectors = module.sample_vectors(1)
+    names = sorted({n for n, _a, _b in default_identity_pairs(module.params)})
+    return [_count_check(f"fields:{name}", *field_commutator_window_check(
+        module, window=task.window, rbound=1, vectors=vectors, names=[name]))
+        for name in names], {}
+
+
+def verify_voa(module, rng, task):
+    N = module.params.N
+    lat = HypLattice(N)
+    ones = vacuum_vector(lat)
+    u1 = heis_act_gen(lat, 0, -1, ones)
+    v1 = heis_act_gen(lat, N, -1, ones)
+    eu2 = vacuum_vector(lat, m=(0,) * (N - 1) + (1,))
+    triples = [(ones, ones, u1), (u1, v1, eu2)] + random_triples(lat, rng, 50, 3)
+    bad = voa_sweep(lat, triples, min(task.window, 3), 2)
+    total = len(triples)
+    return [_check("voa:axioms", bad == 0, f"{total - bad}/{total}")], {}
+
+
+def verify_sugawara(module, rng, task):
+    fmod = module.fmod
+    vecs = sugawara_test_vectors(fmod, rng, 3)
+    sw = min(task.window, 2)
+    c_prime, h_prime = module.sugawara_constants()
+    vir_ok, com_ok = sugawara_sweep(fmod, c_prime, sw, vecs, 4)
+    top = fmod.top_vector()
+    return [
+        _check("sugawara:virasoro", vir_ok, f"window {sw}, {len(vecs)} vectors"),
+        _check("sugawara:commutes", com_ok,
+               f"window {sw}, currents {module.fd.dim}"),
+        _check("sugawara:weight",
+               vec_eq(sugawara_mode(fmod, 0, top), vec_scale(top, h_prime)),
+               f"h_vir_prime = {h_prime}")], {}
+
+
+def verify_realization(module, rng, task):
+    pairs = 200
+    good = module.commutator_sweep(rng, pairs, 2, 1, 2)
+    checks = [
+        _check("realization:commutators", good == pairs, f"{good}/{pairs}"),
+        _count_check("realization:top-action",
+                     *top_action_check(module, window=min(task.window, 2)))]
+    if module.is_standard_top():
+        checks += [_count_check(f"realization:{rid}",
+                                *relation_check(module, rid, window=1))
+                   for rid in RELATION_IDS]
+    else:
+        checks.append({"id": "realization:relations", "status": "skipped",
+                       "details": "relation checks need the standard top"})
+    return checks, {}
+
+
+def singular(module, rng, task):
+    dims = {str(dd): str(len(singular_vectors(module.fmod, dd)))
+            for dd in range(1, task.depth + 1)}
+    return ([_check("singular:search", True, f"depths 1..{task.depth} searched")],
+            {"singular_dimensions": dims})
+
+
+def char(module, rng, task):
+    table = enumerate_weight_spaces(module, task.depth)
+    prod, certified, singular_dims = product_formula_char(
+        module, task.depth, certify=task.certify)
+    mism = compare(table, prod)
+    tables = {name: {str(n): str(dim) for n, dim in enumerate(t.per_depth())}
+              for name, t in (("enumerated", table), ("product_formula", prod))}
+    checks = [_check("char:match", not mism, f"{len(mism)} mismatches"),
+              _check("char:m-independent", table.m_independent(),
+                     "collapsed over lattice weights")]
+    if task.certify:
+        tables["singular_dimensions"] = {
+            str(k): str(v) for k, v in singular_dims.items()}
+        checks.append(_check("char:certified", bool(certified),
+                             "no singular vectors up to the table depth"
+                             if certified else "uncertified: singular vectors found"))
+    return checks, tables
+
+
+COMMANDS = {"verify-jacobi": verify_jacobi, "verify-fields": verify_fields,
+            "verify-voa": verify_voa, "verify-sugawara": verify_sugawara,
+            "verify-realization": verify_realization, "singular": singular,
+            "char": char}
+
+
 def run(spec: SpecFile) -> dict:
     """Execute the file's command and return the report dictionary.
 
@@ -296,197 +399,34 @@ def run(spec: SpecFile) -> dict:
     recorded as failing checks; the report is still emitted.
     """
     params, module = build_context(spec)
-    task = spec.task
-    command = task["command"]
-    depth = int(task.get("depth", 3))
-    window = int(task.get("window", 3))
-    seed = int(task.get("seed", 20240601))
-    certify = bool(task.get("certify", False))
+    command = spec.task["command"]
+    task = Task(depth=int(spec.task.get("depth", 3)),
+                window=int(spec.task.get("window", 3)),
+                certify=bool(spec.task.get("certify", False)))
+    seed = int(spec.task.get("seed", 20240601))
 
     report = {
         "command": command,
         "params": {
-            "N": _fmt(params.N), "g": params.g_dot.name, "mu": _fmt(params.mu),
-            "nu": _fmt(params.nu), "c": _fmt(params.c),
-            "alpha": [_fmt(a) for a in module.alpha],
-            "h": _fmt(module.h), "d": _fmt(module.d),
-            "depth": _fmt(depth), "window": _fmt(window), "seed": _fmt(seed),
-            "certify": certify,
+            "N": str(params.N), "g": params.g_dot.name, "mu": str(params.mu),
+            "nu": str(params.nu), "c": str(params.c),
+            "alpha": [str(a) for a in module.alpha],
+            "h": str(module.h), "d": str(module.d),
+            "depth": str(task.depth), "window": str(task.window),
+            "seed": str(seed), "certify": task.certify,
         },
         "derived": _derived_block(module),
         "checks": [],
         "tables": {},
     }
     try:
-        _dispatch(command, params, module, report,
-                  depth=depth, window=window, seed=seed, certify=certify)
+        report["checks"], report["tables"] = COMMANDS[command](
+            module, random.Random(seed), task)
     except (CriticalLevelError, ValidationError, ResourceLimitError,
             ConfigError) as exc:
         report["checks"].append({"id": f"{command}:error", "status": "fail",
                                  "details": str(exc)})
     return report
-
-
-def _dispatch(command, params, module, report, depth, window, seed, certify):
-    rng = random.Random(seed)
-    checks = report["checks"]
-
-    if command == "verify-jacobi":
-        from .algebra_core import bracket_symbols
-        count = 500
-        jmax = window  # the time-exponent sampling window, default 3
-        good = 0
-        anti_good = 0
-        for _ in range(count):
-            a = random_symbol(params, rng, jmax=jmax, rmax=2)
-            b = random_symbol(params, rng, jmax=jmax, rmax=2)
-            cc = random_symbol(params, rng, jmax=jmax, rmax=2)
-            if jacobi_check(params, a, b, cc):
-                good += 1
-            if (bracket_symbols(params, a, b)
-                    + bracket_symbols(params, b, a)).is_zero():
-                anti_good += 1
-        checks.append(_check("jacobi", good == count, f"{good}/{count}"))
-        checks.append(_check("antisymmetry", anti_good == count,
-                             f"{anti_good}/{count}"))
-
-    elif command == "verify-fields":
-        vectors = module.sample_vectors(1)
-        for name in sorted({n for n, _a, _b in default_identity_pairs(params)}):
-            checked, failures = field_commutator_window_check(
-                module, window=window, rbound=1, vectors=vectors, names=[name])
-            checks.append(_check(f"fields:{name}", not failures,
-                                 f"{checked - len(failures)}/{checked}"))
-
-    elif command == "verify-voa":
-        lat = HypLattice(params.N)
-        triples = []
-        ones = vacuum_vector(lat)
-        u1 = {(_insert_osc((), 0, -1), lat.zero()): Q(1)}
-        v1 = {(_insert_osc((), params.N, -1), lat.zero()): Q(1)}
-        eu2 = vacuum_vector(lat, m=(0,) * (params.N - 1) + (1,)) \
-            if params.N >= 2 else vacuum_vector(lat, m=(1,))
-        triples.append((ones, ones, u1))
-        triples.append((u1, v1, eu2))
-        for _ in range(50):
-            triples.append((random_state(lat, rng, 3),
-                            random_state(lat, rng, 3),
-                            random_state(lat, rng, 3)))
-        bad = 0
-        total = 0
-        for a, b, c3 in triples:
-            failures = voa_axiom_check(lat, a, b, c3, window=min(window, 3),
-                                       borcherds_window=2)
-            total += 1
-            if failures:
-                bad += 1
-        checks.append(_check("voa:axioms", bad == 0, f"{total - bad}/{total}"))
-
-    elif command == "verify-sugawara":
-        fmod = module.fmod
-        vecs = [fmod.top_vector()]
-        for mono in fmod.monomials_at(1):
-            vecs.append({(mono, fmod.tops[0]): Q(1)})
-        pool2 = fmod.monomials_at(2)
-        pool3 = fmod.monomials_at(3)
-        for pool in (pool2, pool3):
-            for mono in rng.sample(pool, min(3, len(pool))):
-                vecs.append({(mono, fmod.tops[0]): Q(1)})
-        sw = min(window, 2)
-        gamma = module.gamma0
-        omega_v = casimir_eigenvalue(params.g_dot, module.V)
-        omega_w = Q(0)
-        if params.N >= 2 and module.W.sl_module() is not None:
-            omega_w = casimir_eigenvalue(module.fd.sl, module.W.sl_module())
-        c_prime, h_prime = sugawara_constants(module.fd, gamma, omega_v,
-                                              omega_w, module.h_hei, module.h_vir)
-        vir_ok = True
-        for n in range(-sw, sw + 1):
-            for m in range(-sw, sw + 1):
-                for v in vecs:
-                    lhs = vec_add(
-                        sugawara_mode(fmod, n, sugawara_mode(fmod, m, v)),
-                        sugawara_mode(fmod, m, sugawara_mode(fmod, n, v)), Q(-1))
-                    want = {}
-                    if n != m:
-                        want = vec_add(want, sugawara_mode(fmod, n + m, v),
-                                       Q(n - m))
-                    if n == -m and n != 0:
-                        want = vec_add(want, v, Q(n ** 3 - n, 12) * c_prime)
-                    if not vec_eq(lhs, want):
-                        vir_ok = False
-        checks.append(_check("sugawara:virasoro", vir_ok,
-                             f"window {sw}, {len(vecs)} vectors"))
-        com_ok = True
-        for idx in range(module.fd.dim):
-            for n in range(-sw, sw + 1):
-                for m in range(-sw, sw + 1):
-                    for v in vecs[:4]:
-                        lhs = sugawara_mode(fmod, n, fmod.act(("f", idx, m), v))
-                        rhs = fmod.act(("f", idx, m), sugawara_mode(fmod, n, v))
-                        if not vec_eq(lhs, rhs):
-                            com_ok = False
-        checks.append(_check("sugawara:commutes", com_ok,
-                             f"window {sw}, currents {module.fd.dim}"))
-        top = fmod.top_vector()
-        got = sugawara_mode(fmod, 0, top)
-        checks.append(_check(
-            "sugawara:weight", vec_eq(got, {k: h_prime * v for k, v in top.items()}
-                                      if h_prime else {}),
-            f"h_vir_prime = {h_prime}"))
-
-    elif command == "verify-realization":
-        pair_count = 200
-        good = 0
-        for _ in range(pair_count):
-            a = random_symbol(params, rng, jmax=2, rmax=1, tags=("g", "k", "d", "dt"))
-            b = random_symbol(params, rng, jmax=2, rmax=1, tags=("g", "k", "d", "dt"))
-            v = module.random_vector(rng, max_depth=2)
-            if module.verify_commutator(a, b, v):
-                good += 1
-        checks.append(_check("realization:commutators", good == pair_count,
-                             f"{good}/{pair_count}"))
-        checked, failures = top_action_check(module, window=min(window, 2))
-        checks.append(_check("realization:top-action", not failures,
-                             f"{checked - len(failures)}/{checked}"))
-        if module.is_standard_top():
-            for rid in RELATION_IDS:
-                checked, failures = relation_check(module, rid, window=1)
-                checks.append(_check(f"realization:{rid}", not failures,
-                                     f"{checked - len(failures)}/{checked}"))
-        else:
-            checks.append({"id": "realization:relations", "status": "skipped",
-                           "details": "relation checks need the standard top"})
-
-    elif command == "singular":
-        dims = {}
-        for dd in range(1, depth + 1):
-            found = singular_vectors(module.fmod, dd)
-            dims[str(dd)] = str(len(found))
-        report["tables"]["singular_dimensions"] = dims
-        checks.append(_check("singular:search", True,
-                             f"depths 1..{depth} searched"))
-
-    elif command == "char":
-        table = enumerate_weight_spaces(module, depth)
-        prod, certified, singular_dims = product_formula_char(
-            module, depth, certify=certify)
-        mism = compare(table, prod)
-        per_depth = table.per_depth()
-        report["tables"]["enumerated"] = {
-            str(n): str(per_depth[n]) for n in range(depth + 1)}
-        report["tables"]["product_formula"] = {
-            str(n): str(prod.per_depth()[n]) for n in range(depth + 1)}
-        checks.append(_check("char:match", not mism,
-                             f"{len(mism)} mismatches"))
-        checks.append(_check("char:m-independent", table.m_independent(),
-                             "collapsed over lattice weights"))
-        if certify:
-            report["tables"]["singular_dimensions"] = {
-                str(k): str(v) for k, v in singular_dims.items()}
-            checks.append(_check("char:certified", bool(certified),
-                                 "no singular vectors up to the table depth"
-                                 if certified else "uncertified: singular vectors found"))
 
 
 def report_passed(report) -> bool:
@@ -512,11 +452,16 @@ def main(argv=None) -> int:
     try:
         with open(args.specfile, "r", encoding="utf-8") as fh:
             text = fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        sys.stderr.write(f"error: cannot read {args.specfile}: {exc}\n")
+        return 2
+    try:
         spec = parse_spec(text)
         for key, val in (("depth", args.depth), ("window", args.window),
                          ("seed", args.seed)):
             if val is not None:
                 spec.task[key] = Q(val)
+        validate_spec(spec)
         report = run(spec)
     except (SpecFileError, ConfigError, ValidationError, CriticalLevelError) as exc:
         sys.stderr.write(f"error: {exc}\n")

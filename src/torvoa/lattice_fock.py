@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from math import factorial
 from typing import Optional
 
@@ -88,10 +89,6 @@ def vacuum_vector(L: HypLattice, alpha=None, m=None, beta=None):
 
 def fock_depth(osc):
     return -sum(mode for _g, mode in osc)
-
-
-def vector_fock_depth(vec):
-    return max((fock_depth(osc) for (osc, _lat) in vec), default=0)
 
 
 def _insert_osc(osc, g, mode):
@@ -247,13 +244,9 @@ def exp_vertex_mode(L: HypLattice, y, exponent, vec):
 @dataclass(frozen=True)
 class FieldHandle:
     """A normally ordered product of derivative-decorated oscillator fields
-    with one optional exponential factor (kept innermost).
+    with one optional exponential factor (kept innermost)."""
 
-    A ('vir',) factor stands for the lattice Virasoro field itself, so
-    quadratic products like :omega(z) Y(e^y, z): are expressible too.
-    """
-
-    factors: tuple          # entries ('osc', g, nderiv) or ('vir',)
+    factors: tuple          # entries ('osc', g, nderiv)
     exp: Optional[tuple]    # lattice vector of the exponential, or None
 
 
@@ -266,52 +259,31 @@ def exp_field(y):
 
 
 def hyp_virasoro_mode(L: HypLattice, m: int, vec):
-    """Mode m (Virasoro indexing) of sum_p :u_p(z) v_p(z):."""
+    """Mode m (Virasoro indexing) of sum_p :u_p(z) v_p(z):, the z^(-m-2)
+    coefficient of the N two-oscillator products."""
     out = {}
-    dmax = vector_fock_depth(vec)
     for p in range(L.N):
-        up, vp = p, L.N + p
-        for k in range(m - dmax, 0):
-            w = heis_act_gen(L, vp, m - k, vec)
-            if w:
-                for key, cf in heis_act_gen(L, up, k, w).items():
-                    merge(out, key, cf)
-        for k in range(0, dmax + 1):
-            w = heis_act_gen(L, up, k, vec)
-            if w:
-                for key, cf in heis_act_gen(L, vp, m - k, w).items():
-                    merge(out, key, cf)
+        chain = (("osc", p, 0), ("osc", L.N + p, 0))
+        for key, cf in _apply_factors(L, chain, None, -m - 2, vec).items():
+            merge(out, key, cf)
     return out
 
 
-def _factor_ann_exponents(L, factor, vec):
-    dmax = vector_fock_depth(vec)
-    if factor[0] == "osc":
-        nd = factor[2]
-        return [-j - 1 - nd for j in range(-nd, dmax + 1)]
-    return [-m - 2 for m in range(-1, dmax + 1)]
-
-
 def _factor_at(L, factor, e, vec):
-    if factor[0] == "osc":
-        _, g, nd = factor
-        j = -e - 1 - nd
-        cf = binom(-j - 1, nd)
-        if cf == 0:
-            return {}
-        res = heis_act_gen(L, g, j, vec)
-        if cf == 1:
-            return res
-        return {k: cf * v for k, v in res.items()}
-    return hyp_virasoro_mode(L, -e - 2, vec)
+    _, g, nd = factor
+    j = -e - 1 - nd
+    cf = binom(-j - 1, nd)
+    if cf == 0:
+        return {}
+    res = heis_act_gen(L, g, j, vec)
+    if cf == 1:
+        return res
+    return {k: cf * v for k, v in res.items()}
 
 
 def _term_min_exponent(L, factors, expy, osc, lat):
-    wsum = 0
-    for f in factors:
-        wsum += 2 if f[0] == "vir" else 1 + f[2]
     xi = L.form(expy, lat) if expy is not None else Q(0)
-    return xi - fock_depth(osc) - wsum
+    return xi - fock_depth(osc) - sum(1 + f[2] for f in factors)
 
 
 def _term_apply(L, factors, expy, osc, lat, e):
@@ -331,7 +303,9 @@ def _term_apply(L, factors, expy, osc, lat, e):
     F, rest = factors[0], factors[1:]
     term = {(osc, lat): Q(1)}
     out = {}
-    for e1 in _factor_ann_exponents(L, F, term):
+    # the annihilation part of the leftmost factor (exponents below 0) acts
+    # first; on this monomial it vanishes below -1 - depth - nderiv
+    for e1 in range(-1, -2 - fock_depth(osc) - F[2], -1):
         w = _factor_at(L, F, e1, term)
         for (osc2, lat2), cf in w.items():
             for key2, c2 in _term_apply(L, rest, expy, osc2, lat2, e - e1).items():
@@ -378,26 +352,17 @@ def state_degree(vec):
     return degs.pop()
 
 
-def state_profile(L: HypLattice, state, modes, vec):
-    """VOA modes of the field of ``state`` on ``vec`` for every index in
-    ``modes`` at once; returns {mode: vector}."""
-    exps = [Q(-n - 1) for n in modes]
-    out = {n: {} for n in modes}
+def state_mode(L: HypLattice, state, n, vec):
+    """VOA mode: coefficient of z^(-n-1) of the field of ``state`` applied
+    to ``vec``.  The state must have integral lattice points."""
+    out = {}
     for (osc, lat), cf in state.items():
         if any(x.denominator != 1 for x in lat):
             raise ValueError("state fields need integral lattice points")
         factors = tuple(("osc", g, -m - 1) for (g, m) in osc)
-        prof = {e: _apply_factors(L, factors, lat, e, vec) for e in exps}
-        for n in modes:
-            for key, c in prof[Q(-n - 1)].items():
-                merge(out[n], key, cf * c)
+        for key, c in _apply_factors(L, factors, lat, -n - 1, vec).items():
+            merge(out, key, cf * c)
     return out
-
-
-def state_mode(L: HypLattice, state, n, vec):
-    """VOA mode: coefficient of z^(-n-1) of the field of ``state`` applied
-    to ``vec``.  The state must have integral lattice points."""
-    return state_profile(L, state, [n], vec)[n]
 
 
 def translate(L: HypLattice, vec):
@@ -418,38 +383,29 @@ def voa_axiom_check(L: HypLattice, a, b, c, window=3, borcherds_window=2):
     dc = int(state_degree(c))
     kmax = da + db + 1
 
-    a_on_c, b_on_c, products = {}, {}, {}
-    b_after_a, a_after_b, prod_on_c = {}, {}, {}
-
+    @cache
     def ac(i):
-        if i not in a_on_c:
-            a_on_c[i] = state_mode(L, a, i, c)
-        return a_on_c[i]
+        return state_mode(L, a, i, c)
 
+    @cache
     def bc(i):
-        if i not in b_on_c:
-            b_on_c[i] = state_mode(L, b, i, c)
-        return b_on_c[i]
+        return state_mode(L, b, i, c)
 
+    @cache
     def prod(q):
-        if q not in products:
-            products[q] = state_mode(L, a, q, b)
-        return products[q]
+        return state_mode(L, a, q, b)
 
+    @cache
     def ba(l, i):
-        if (l, i) not in b_after_a:
-            b_after_a[(l, i)] = state_mode(L, b, l, ac(i)) if ac(i) else {}
-        return b_after_a[(l, i)]
+        return state_mode(L, b, l, ac(i)) if ac(i) else {}
 
+    @cache
     def ab(l, i):
-        if (l, i) not in a_after_b:
-            a_after_b[(l, i)] = state_mode(L, a, l, bc(i)) if bc(i) else {}
-        return a_after_b[(l, i)]
+        return state_mode(L, a, l, bc(i)) if bc(i) else {}
 
+    @cache
     def pc(q, l):
-        if (q, l) not in prod_on_c:
-            prod_on_c[(q, l)] = state_mode(L, prod(q), l, c) if prod(q) else {}
-        return prod_on_c[(q, l)]
+        return state_mode(L, prod(q), l, c) if prod(q) else {}
 
     for m in range(-window, window + 1):
         for n in range(-window, window + 1):
@@ -510,3 +466,16 @@ def voa_axiom_check(L: HypLattice, a, b, c, window=3, borcherds_window=2):
         if not vec_eq(lhs, rhs):
             failures.append(("skew", n))
     return failures
+
+
+def random_triples(L: HypLattice, rng, count, max_degree):
+    """``count`` seeded triples of basis states, each drawn a, b, c in turn."""
+    return [tuple(random_state(L, rng, max_degree) for _ in range(3))
+            for _ in range(count)]
+
+
+def voa_sweep(L: HypLattice, triples, window, borcherds_window):
+    """Number of triples on which ``voa_axiom_check`` finds a failure."""
+    return sum(1 for a, b, c in triples
+               if voa_axiom_check(L, a, b, c, window=window,
+                                  borcherds_window=borcherds_window))

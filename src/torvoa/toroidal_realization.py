@@ -3,17 +3,18 @@ Virasoro-current) modules, with exact verification drivers.
 
 A generator t_0^j t^r X acts as one z-mode of a composite field built from:
 the exponential vertex operator attached to r along the isotropic half of
-the lattice, oscillator fields u_p(z), v_p(z), current fields on the second
-tensor factor, and the two Virasoro fields.  The plans implement
+the lattice, oscillator fields u_p(z), v_p(z), and the current and
+Virasoro fields of the second tensor factor.  The plans implement
 
     k_0-fields  = c Y(e^{ru}, z)                          at z^{-j}
     k_p-fields  = c :u_p(z) Y(e^{ru}, z):                 at z^{-j-1}
     g-fields    = g(z) Y(e^{ru}, z)                       at z^{-j-1}
     dt_p-fields = :v_p(z) Y(e^{ru}, z):
                   + sum_a r_a E_{ap}(z) Y(e^{ru}, z)      at z^{-j-1}
-    dt_0-fields = :(omega_Fock + omega_cur)(z) Y(e^{ru}, z):
+    dt_0-fields = sum_p :u_p(z) :v_p(z) Y(e^{ru}, z)::
+                  + :omega_cur(z) Y(e^{ru}, z):
                   + sum_{a,b} r_a u_b(z) E_{ab}(z) Y(e^{ru}, z)
-                  + (mu c - 1) sum_p r_p (d/dz u_p)(z) Y(e^{ru}, z)
+                  + mu c sum_p r_p (d/dz u_p)(z) Y(e^{ru}, z)
                                                           at z^{-j-2}
 
 and the plain vector fields through the invertible shift to the dt basis.
@@ -28,15 +29,16 @@ from math import floor
 from . import lattice_fock
 from .algebra_core import (BasisSymbol, ConfigError, Params, ToroidalElement,
                            _plain_to_tilde, bracket_symbols, d_sym, dt_sym,
-                           g_sym, k_sym)
+                           g_sym, k_sym, random_symbol)
 from .finite_lie_data import (FiniteModule, GLModule, ReductiveF,
-                              build_gl_module, build_module)
+                              build_gl_module, build_module, casimir_eigenvalue)
 # perfbench/tracer.py wraps _exp_term, heis_act_gen and hyp_virasoro_mode here
 from .lattice_fock import (HypLattice, _exp_term, _insert_osc, coset_point,
                            falling, fock_depth, heis_act_gen,
                            hyp_virasoro_mode, random_osc)
 from .linalg import merge, vec_add, vec_eq, vec_scale
-from .virasoro_affine import CentralCharacter, FModule, mode_of
+from .virasoro_affine import (CentralCharacter, FModule, mode_of,
+                              sugawara_constants)
 
 Q = Fraction
 
@@ -93,6 +95,16 @@ class RealizationModule:
                 and all(a == 0 for a in self.alpha)
                 and self.h_hei == 0 and self.h_vir == 0)
 
+    def sugawara_constants(self):
+        """(c', h'): central charge and top weight of the corrected
+        Virasoro field on the second factor.  Raises CriticalLevelError at
+        a critical level."""
+        omega_v = casimir_eigenvalue(self.params.g_dot, self.V)
+        sl_w = self.W.sl_module()       # None for N = 1
+        omega_w = Q(0) if sl_w is None else casimir_eigenvalue(self.fd.sl, sl_w)
+        return sugawara_constants(self.fd, self.gamma0, omega_v, omega_w,
+                                  self.h_hei, self.h_vir)
+
     def vacuum_companion(self):
         """Same data with the translation-null reduction on the second factor."""
         if self.vacuum:
@@ -138,8 +150,8 @@ class RealizationModule:
     def realize_plan(self, sym: BasisSymbol):
         """Composite operator description: list of (coeff, factors, exponent).
 
-        Factors are ('osc', g, nderiv), ('hypvir',), ('fvir',),
-        ('cur', ((idx, coeff), ...)), with the exponential ('exp', y) last.
+        Factors are ('osc', g, nderiv), ('fvir',), ('cur', ((idx, coeff),
+        ...)), with the exponential ('exp', y) last.
         """
         p = self.params
         N = p.N
@@ -163,8 +175,12 @@ class RealizationModule:
                         cur = ("cur", ((self.fd.e_index(a, pidx), Q(1)),))
                         plan.append((Q(ra), (cur, ex), -j - 1))
                 return plan
-            plan = [(Q(1), (("hypvir",), ex), -j - 2),
-                    (Q(1), (("fvir",), ex), -j - 2)]
+            # :(:u_p v_p:) Y(e^y): = :u_p :v_p Y(e^y):: + r_p :(d u_p) Y(e^y):
+            # since (v_p|y) = r_p and (u_p|y) = 0; the second term joins the
+            # derivative correction below
+            plan = [(Q(1), (("osc", pp, 0), ("osc", N + pp, 0), ex), -j - 2)
+                    for pp in range(N)]
+            plan.append((Q(1), (("fvir",), ex), -j - 2))
             for a in range(1, N + 1):
                 ra = r[a - 1]
                 if not ra:
@@ -172,7 +188,7 @@ class RealizationModule:
                 for b in range(1, N + 1):
                     cur = ("cur", ((self.fd.e_index(a, b), Q(1)),))
                     plan.append((Q(ra), (("osc", b - 1, 0), cur, ex), -j - 2))
-            coef = p.mu * c - 1
+            coef = p.mu * c
             if coef:
                 for pp in range(1, N + 1):
                     rp = r[pp - 1]
@@ -206,8 +222,6 @@ class RealizationModule:
         for f in factors:
             if f[0] == "osc":
                 fock.append(f)
-            elif f[0] == "hypvir":
-                fock.append(("vir",))
             elif f[0] == "exp":
                 expy = f[1]
             elif f[0] in ("fvir", "cur"):
@@ -282,6 +296,20 @@ class RealizationModule:
         rhs = vec_add(self.g_act_symbol(a, self.g_act_symbol(b, vec)),
                       self.g_act_symbol(b, self.g_act_symbol(a, vec)), Q(-1))
         return vec_eq(lhs, rhs)
+
+    def commutator_sweep(self, rng: random.Random, count, jmax, rmax,
+                         max_depth):
+        """Draw ``count`` seeded (a, b, v): two generators of the full
+        algebra and a basis vector of depth <= max_depth; return how many
+        satisfy [a, b] v = a (b v) - b (a v)."""
+        tags = ("g", "k", "d", "dt")
+        good = 0
+        for _ in range(count):
+            a = random_symbol(self.params, rng, jmax=jmax, rmax=rmax, tags=tags)
+            b = random_symbol(self.params, rng, jmax=jmax, rmax=rmax, tags=tags)
+            v = self.random_vector(rng, max_depth=max_depth)
+            good += self.verify_commutator(a, b, v)
+        return good
 
     def weight_of(self, vec):
         """Exact (d_0, d_1, .., d_N) eigenvalues; raises on non-eigenvectors."""

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .finite_lie_data import FiniteModule, GLModule, ReductiveF, ValidationError
-from .linalg import nullspace
+from .linalg import nullspace, vec_add, vec_eq, vec_scale
 
 Q = Fraction
 
@@ -390,3 +390,42 @@ def sugawara_mode(module: FModule, m: int, vec):
             out[key] = out.get(key, Q(0)) + cf * v
     return {k: v for k, v in out.items() if v}
 
+
+def sugawara_test_vectors(module: FModule, rng, per_depth):
+    """The top, every depth-1 monomial on it, and ``per_depth`` seeded
+    monomials of depth 2 and of depth 3 (all of them where fewer exist)."""
+    top = module.tops[0]
+    vecs = [{(mono, top): Q(1)} for depth in (0, 1)
+            for mono in module.monomials_at(depth)]
+    for depth in (2, 3):
+        pool = module.monomials_at(depth)
+        vecs += [{(mono, top): Q(1)}
+                 for mono in rng.sample(pool, min(per_depth, len(pool)))]
+    return vecs
+
+
+def sugawara_sweep(module: FModule, c_prime, window, vecs, ncommute):
+    """The corrected Virasoro field against central charge ``c_prime`` on
+    ``vecs``, and its commutation with every current on the first
+    ``ncommute`` of them, for all modes n, m in [-window, window].
+
+    Returns (Virasoro relations hold, commutation holds).
+    """
+    modes = range(-window, window + 1)
+
+    def L(n, v):
+        return sugawara_mode(module, n, v)
+
+    def virasoro(n, m, v):
+        want = vec_scale(L(n + m, v), n - m) if n != m else {}
+        if n == -m:
+            want = vec_add(want, v, Q(n ** 3 - n, 12) * c_prime)
+        return vec_eq(vec_add(L(n, L(m, v)), L(m, L(n, v)), Q(-1)), want)
+
+    def commutes(idx, n, m, v):
+        f = ("f", idx, m)
+        return vec_eq(L(n, module.act(f, v)), module.act(f, L(n, v)))
+
+    return (all(virasoro(n, m, v) for n in modes for m in modes for v in vecs),
+            all(commutes(idx, n, m, v) for idx in range(module.fd.dim)
+                for n in modes for m in modes for v in vecs[:ncommute]))

@@ -6,7 +6,7 @@ from fractions import Fraction as Q
 import pytest
 
 from torvoa import SpecFileError, parse_spec, run
-from torvoa.cli import build_context, render_report, report_passed
+from torvoa.cli import build_context, main, render_report, report_passed
 
 MINIMAL = """\
 # reference data, distinguished top
@@ -239,3 +239,67 @@ class TestProcess:
         report = json.loads(proc.stdout)
         statuses = {c["id"]: c["status"] for c in report["checks"]}
         assert statuses["char:certified"] == "fail"
+
+
+class TestBadInput:
+    """Bad run files and overrides end in exit status 2 and one
+    ``error:`` line, never a traceback."""
+
+    @staticmethod
+    def _main(capsys, argv):
+        status = main(argv)
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        return status, err
+
+    @pytest.mark.parametrize("old, new, key", [
+        ("mu = 1/3", 'mu = "x"', "mu"),
+        ("c = 2", 'c = "two"', "c"),
+        ("alpha = [0]", 'alpha = ["x"]', "alpha"),
+        ("h = 2/5", 'h = "x"', "h"),
+        ("alpha = [0]", "alpha = [[1]]", "alpha"),
+        ("d = 8/15", "d = [1]", "d"),
+        ('V = "trivial"', 'V = "explicit"\nV_matrices = [1]', "V_matrices"),
+        ("depth = 2", "depth = true", "depth"),
+        ("certify = false", "certify = 1", "certify"),
+        ('g = "A1"', "g = 1", "g"),
+        ("N = 1", "N = 1/2", "N"),
+    ])
+    def test_wrongly_typed_value(self, tmp_path, capsys, old, new, key):
+        path = tmp_path / "run.torvoa"
+        path.write_text(MINIMAL.replace(old, new), encoding="utf-8")
+        status, err = self._main(capsys, [str(path)])
+        assert status == 2
+        assert f"{key} must be" in err
+
+    @pytest.mark.parametrize("matrices", [
+        "[[[0, 1], [0, 0]], [[0, 0], [1, 0]], [[1, 0]]]",
+        "[[[0, 1], [0, 0]], [[0, 0], [1, 0]], [[1]]]",
+        "[[]]",
+    ])
+    def test_matrices_of_one_square_size(self, tmp_path, capsys, matrices):
+        path = tmp_path / "run.torvoa"
+        path.write_text(MINIMAL.replace(
+            'V = "trivial"', f'V = "explicit"\nV_matrices = {matrices}'),
+            encoding="utf-8")
+        status, err = self._main(capsys, [str(path)])
+        assert status == 2 and "V_matrices must be" in err
+
+    def test_missing_file(self, tmp_path, capsys):
+        status, err = self._main(capsys, [str(tmp_path / "absent.torvoa")])
+        assert status == 2 and "absent.torvoa" in err
+
+    def test_non_utf8_file(self, tmp_path, capsys):
+        path = tmp_path / "latin1.torvoa"
+        path.write_bytes(MINIMAL.replace("# reference", "# r\xe9f\xe9rence")
+                         .encode("latin-1"))
+        status, _err = self._main(capsys, [str(path)])
+        assert status == 2
+
+    @pytest.mark.parametrize("flag", ["--depth", "--window", "--seed"])
+    def test_negative_override(self, tmp_path, capsys, flag):
+        path = tmp_path / "run.torvoa"
+        path.write_text(MINIMAL, encoding="utf-8")
+        status, err = self._main(capsys, [str(path), flag, "-1"])
+        assert status == 2 and "nonnegative integer" in err

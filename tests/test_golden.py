@@ -1,0 +1,39 @@
+"""The CLI's reports on demos/reference.torvoa, byte for byte.
+
+The files under tests/golden/ are the reports as first recorded; a change
+that alters any report or exit status fails here.  verify-voa is left out
+because it takes about 30 s even at window 1.
+"""
+
+from pathlib import Path
+
+import pytest
+
+from torvoa.cli import main
+
+ROOT = Path(__file__).resolve().parents[1]
+REFERENCE = (ROOT / "demos" / "reference.torvoa").read_text(encoding="utf-8")
+
+# (command, extra flags, golden file, exit status)
+CASES = [
+    ("verify-jacobi", [], "verify-jacobi.json", 0),
+    ("verify-sugawara", [], "verify-sugawara.json", 0),
+    ("verify-realization", [], "verify-realization.json", 0),
+    ("singular", [], "singular.json", 0),
+    ("char", [], "char.json", 1),
+    ("verify-fields", ["--window", "1"], "verify-fields-window1.json", 0),
+]
+
+
+@pytest.mark.parametrize("command, flags, golden, status", CASES)
+def test_report_matches_golden(command, flags, golden, status, tmp_path,
+                               capsys):
+    path = tmp_path / "run.torvoa"
+    path.write_text(REFERENCE.replace('command = "char"',
+                                      f'command = "{command}"'),
+                    encoding="utf-8")
+    assert main([str(path), *flags]) == status
+    out, err = capsys.readouterr()
+    assert err == ""
+    assert out == (ROOT / "tests" / "golden" / golden).read_text(
+        encoding="utf-8")

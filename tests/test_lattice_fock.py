@@ -7,7 +7,9 @@ from torvoa import (HypLattice, exp_vertex_mode, field_mode, heis_act,
                     hyp_virasoro_mode, osc_field, state_mode, vacuum_vector,
                     voa_axiom_check)
 from torvoa.lattice_fock import (FieldHandle, _insert_osc, coset_point,
-                                 random_state, state_degree, translate)
+                                 heis_act_gen, random_state, state_degree,
+                                 translate)
+from torvoa.linalg import vec_add
 
 
 @pytest.fixture(scope="module")
@@ -135,14 +137,36 @@ class TestFieldModes:
         for e in range(-3, 3):
             assert field_mode(lat1, fh, e, v) == heis_act(lat1, 0, -e - 1, v)
 
-    def test_quadratic_factor_matches_virasoro(self, lat1):
-        # a ('vir',) factor with the trivial exponential reproduces the
-        # lattice Virasoro modes
-        fh = FieldHandle((("vir",),), (Q(0), Q(0)))
-        v = osc_vec(lat1, [(0, -1), (1, -2)], alpha=(Q(1, 3),))
-        for e in range(-4, 3):
-            assert field_mode(lat1, fh, e, v) \
-                == hyp_virasoro_mode(lat1, -e - 2, v)
+    @staticmethod
+    def _virasoro_reference(L, m, vec):
+        """sum_p :u_p v_p: at mode m, written out as the double sum over
+        the split point of the normal ordering."""
+        out = {}
+        dmax = max((-sum(mode for _g, mode in osc) for osc, _lat in vec),
+                   default=0)
+        for p in range(L.N):
+            up, vp = p, L.N + p
+            for k in range(m - dmax, 0):
+                w = heis_act_gen(L, vp, m - k, vec)
+                if w:
+                    out = vec_add(out, heis_act_gen(L, up, k, w))
+            for k in range(0, dmax + 1):
+                w = heis_act_gen(L, up, k, vec)
+                if w:
+                    out = vec_add(out, heis_act_gen(L, vp, m - k, w))
+        return out
+
+    def test_quadratic_factor_matches_virasoro(self, lat1, lat2):
+        # the two-oscillator chains on the engine against the double sum
+        vecs = [(lat1, osc_vec(lat1, [(0, -1), (1, -2)], alpha=(Q(1, 3),))),
+                (lat1, osc_vec(lat1, [(1, -1)], m=(1,), beta=(2,))),
+                (lat2, osc_vec(lat2, [(0, -1), (3, -1), (1, -2)],
+                               alpha=(Q(1, 2), Q(-2, 3)), beta=(1, -1))),
+                (lat2, vacuum_vector(lat2, (Q(1, 2), 0), beta=(0, 3)))]
+        for lat, v in vecs:
+            for m in range(-4, 5):
+                assert hyp_virasoro_mode(lat, m, v) \
+                    == self._virasoro_reference(lat, m, v)
 
     def test_virasoro_grading(self, lat2):
         v = vacuum_vector(lat2, (Q(1, 2), Q(0)))

@@ -4,7 +4,8 @@ from math import floor
 
 import pytest
 
-from torvoa import ConfigError, RealizationModule, random_symbol
+from torvoa import (ConfigError, RealizationModule, exp_vertex_mode, heis_act,
+                    hyp_virasoro_mode)
 from torvoa.algebra_core import bracket_symbols, d_sym, dt_sym, g_sym, k_sym
 from torvoa.toroidal_realization import (RELATION_IDS, _index_box,
                                          default_identity_pairs,
@@ -171,15 +172,8 @@ class TestCommutators:
     @pytest.mark.parametrize("fixture", ["module_n1", "module_n2_natural"])
     def test_seeded_sweep(self, fixture, request):
         module = request.getfixturevalue(fixture)
-        params = module.params
         rng = random.Random(20240608)
-        for _ in range(40):
-            a = random_symbol(params, rng, jmax=2, rmax=1,
-                              tags=("g", "k", "d", "dt"))
-            b = random_symbol(params, rng, jmax=2, rmax=1,
-                              tags=("g", "k", "d", "dt"))
-            v = module.random_vector(rng, max_depth=2)
-            assert module.verify_commutator(a, b, v)
+        assert module.commutator_sweep(rng, 40, 2, 1, 2) == 40
 
     def test_higher_rank_coefficients(self):
         # rank-two coefficient algebra with a natural top and negative nu
@@ -189,13 +183,7 @@ class TestCommutators:
         module = RealizationModule(params, V=build_module(sl3, "natural"),
                                    h=Q(1, 2), d=Q(0))
         rng = random.Random(5150)
-        for _ in range(25):
-            a = random_symbol(params, rng, jmax=2, rmax=1,
-                              tags=("g", "k", "d", "dt"))
-            b = random_symbol(params, rng, jmax=2, rmax=1,
-                              tags=("g", "k", "d", "dt"))
-            v = module.random_vector(rng, max_depth=2)
-            assert module.verify_commutator(a, b, v)
+        assert module.commutator_sweep(rng, 25, 2, 1, 2) == 25
 
 
 class TestDisplayedIdentities:
@@ -313,9 +301,65 @@ class TestVirasoroStructure:
             v = M.random_vector(rng, 2)
             for j in range(-2, 3):
                 got = M.g_act_symbol(dt_sym(p, j, zr, 0), v)
-                hyp = M._apply_ordered((("hypvir",), ex), -j - 2, v)
+                hyp = {}
+                for q in range(p.N):
+                    hyp = vec_add(hyp, M._apply_ordered(
+                        (("osc", q, 0), ("osc", p.N + q, 0), ex), -j - 2, v))
                 fv = M._apply_ordered((("fvir",), ex), -j - 2, v)
                 assert vec_eq(got, vec_add(hyp, fv))
+
+    @pytest.mark.parametrize("fixture", ["module_n1", "module_n2_natural"])
+    def test_fock_part_is_normal_ordered_omega(self, fixture, request):
+        """The Fock part of the dt_0 plan at r != 0 against
+        :omega Y(e^y): + (mu c - 1) sum_p r_p :(d u_p) Y(e^y):, both products
+        written out from the public lattice modes:
+        :omega Y:[e] = sum_{m<=-2} L(m) Y[e+m+2] + sum_{m>=-1} Y[e+m+2] L(m),
+        and likewise for d u_p(z) = sum_j (-j-1) u_p(j) z^(-j-2)."""
+        M = request.getfixturevalue(fixture)
+        p, lat, N = M.params, M.lat, M.params.N
+        coef = p.mu * p.c - 1
+
+        def oracle(y, r, e, w):
+            # (y|lat) = 0 on the module's coset points, so Y[k] w = 0 for
+            # k < -depth(w); w has no oscillator mode above its depth
+            depth = max(-sum(mode for _g, mode in osc) for osc, _lat in w)
+            lo = -depth - e - 3
+            out = {}
+            for m in range(lo, depth + 1):
+                if m <= -2:
+                    term = hyp_virasoro_mode(
+                        lat, m, exp_vertex_mode(lat, y, e + m + 2, w))
+                else:
+                    term = exp_vertex_mode(
+                        lat, y, e + m + 2, hyp_virasoro_mode(lat, m, w))
+                out = vec_add(out, term)
+            for q in range(N):
+                for j in range(lo, depth + 1):
+                    if j < 0:
+                        term = heis_act(lat, q, j,
+                                        exp_vertex_mode(lat, y, e + j + 2, w))
+                    else:
+                        term = exp_vertex_mode(lat, y, e + j + 2,
+                                               heis_act(lat, q, j, w))
+                    out = vec_add(out, term, coef * r[q] * (-j - 1))
+            return out
+
+        rs = [(1,), (-2,)] if N == 1 else [(1, 0), (-1, 2)]
+        for r in rs:
+            y = M._exp_vec(r)
+            for j in range(-2, 3):
+                fock_plan = [(cf, fac, e) for cf, fac, e
+                             in M.realize_plan(dt_sym(p, j, r, 0))
+                             if not any(f[0] in ("fvir", "cur") for f in fac)]
+                for v in M.sample_vectors(2):
+                    got = {}
+                    for cf, fac, e in fock_plan:
+                        got = vec_add(got, M._apply_ordered(fac, e, v), cf)
+                    want = {}
+                    for (fk, fkey), cf in v.items():
+                        for fk2, c2 in oracle(y, r, -j - 2, {fk: Q(1)}).items():
+                            want = vec_add(want, {(fk2, fkey): c2 * cf})
+                    assert vec_eq(got, want), (r, j, v)
 
 
 class TestTensorSplit:
