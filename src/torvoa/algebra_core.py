@@ -17,6 +17,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .finite_lie_data import SimpleAlgebra
+from .linalg import add_into, merge, vec_add, vec_scale
 
 Q = Fraction
 
@@ -115,17 +116,13 @@ class ToroidalElement:
 
     def __init__(self, params: Params, terms=None):
         self.params = params
-        canon = {}
+        self.terms = {}
         for sym, cf in (terms or {}).items():
             cf = Q(cf)
-            if cf == 0:
-                continue
             if sym.tag == "k":
-                for s2, c2 in canonicalize_center(params, sym).items():
-                    canon[s2] = canon.get(s2, Q(0)) + cf * c2
+                add_into(self.terms, canonicalize_center(params, sym), cf)
             else:
-                canon[sym] = canon.get(sym, Q(0)) + cf
-        self.terms = {s: c for s, c in canon.items() if c != 0}
+                merge(self.terms, sym, cf)
 
     @classmethod
     def from_symbol(cls, params, sym, coeff=Q(1)):
@@ -133,16 +130,13 @@ class ToroidalElement:
 
     def __add__(self, other):
         self._check(other)
-        out = dict(self.terms)
-        for s, c in other.terms.items():
-            out[s] = out.get(s, Q(0)) + c
-        return ToroidalElement(self.params, out)
+        return ToroidalElement(self.params, vec_add(self.terms, other.terms))
 
     def __sub__(self, other):
         return self + other.scale(Q(-1))
 
     def scale(self, s):
-        return ToroidalElement(self.params, {k: Q(s) * v for k, v in self.terms.items()})
+        return ToroidalElement(self.params, vec_scale(self.terms, s))
 
     def is_zero(self):
         return not self.terms
@@ -170,18 +164,13 @@ class ToroidalElement:
 # brackets
 # ---------------------------------------------------------------------------
 
-def _add(out, sym, cf):
-    if cf:
-        out[sym] = out.get(sym, Q(0)) + cf
-
-
 def _exact_form_terms(params, degree_src: BasisSymbol, target_j, target_r, coeff):
     """coeff * sum_p rho_p t^target k_p where rho is degree_src's degree."""
     out = {}
     for p in range(params.N + 1):
         e = degree_src.exponent(p)
         if e:
-            _add(out, BasisSymbol("k", target_j, target_r, p), coeff * e)
+            merge(out, BasisSymbol("k", target_j, target_r, p), coeff * e)
     return out
 
 
@@ -198,39 +187,38 @@ def _bracket_basis(params: Params, a: BasisSymbol, b: BasisSymbol) -> dict:
     if ta == "g" and tb == "g":
         out = {}
         for kidx, cf in params.g_dot.struct[a.idx][b.idx]:
-            _add(out, BasisSymbol("g", j, r, kidx), cf)
+            merge(out, BasisSymbol("g", j, r, kidx), cf)
         pairing = params.g_dot.pair(a.idx, b.idx)
         if pairing:
-            for sym, cf in _exact_form_terms(params, a, j, r, pairing).items():
-                _add(out, sym, cf)
+            add_into(out, _exact_form_terms(params, a, j, r, pairing))
         return out
 
     if ta == "d" and tb == "g":
         # [t^rho d_a, t^sigma g] = sigma_a t^(rho+sigma) g
-        return {BasisSymbol("g", j, r, b.idx): Q(b.exponent(a.idx))}
+        out = {}
+        merge(out, BasisSymbol("g", j, r, b.idx), Q(b.exponent(a.idx)))
+        return out
     if ta == "g" and tb == "d":
         return _negate(_bracket_basis(params, b, a))
 
     if ta == "d" and tb == "k":
         # [t^rho d_a, t^sigma k_b] = sigma_a t^+ k_b + delta_ab sum_p rho_p t^+ k_p
         out = {}
-        _add(out, BasisSymbol("k", j, r, b.idx), Q(b.exponent(a.idx)))
+        merge(out, BasisSymbol("k", j, r, b.idx), Q(b.exponent(a.idx)))
         if a.idx == b.idx:
-            for sym, cf in _exact_form_terms(params, a, j, r, Q(1)).items():
-                _add(out, sym, cf)
+            add_into(out, _exact_form_terms(params, a, j, r, Q(1)))
         return out
     if ta == "k" and tb == "d":
         return _negate(_bracket_basis(params, b, a))
 
     if ta == "d" and tb == "d":
         out = {}
-        _add(out, BasisSymbol("d", j, r, b.idx), Q(b.exponent(a.idx)))
-        _add(out, BasisSymbol("d", j, r, a.idx), Q(-a.exponent(b.idx)))
+        merge(out, BasisSymbol("d", j, r, b.idx), Q(b.exponent(a.idx)))
+        merge(out, BasisSymbol("d", j, r, a.idx), Q(-a.exponent(b.idx)))
         tau = params.mu * b.exponent(a.idx) * a.exponent(b.idx) \
             + params.nu * a.exponent(a.idx) * b.exponent(b.idx)
         if tau:
-            for sym, cf in _exact_form_terms(params, b, j, r, tau).items():
-                _add(out, sym, cf)
+            add_into(out, _exact_form_terms(params, b, j, r, tau))
         return out
 
     if ta == "dt" and tb == "dt":
@@ -246,8 +234,7 @@ def _bracket_basis(params: Params, a: BasisSymbol, b: BasisSymbol) -> dict:
     if ta == "dt" and tb == "d":
         out = {}
         for sym, cf in _tilde_to_plain(params, a).items():
-            for s2, c2 in _bracket_basis(params, sym, b).items():
-                _add(out, s2, cf * c2)
+            add_into(out, _bracket_basis(params, sym, b), cf)
         return out
     if ta == "d" and tb == "dt":
         return _negate(_bracket_basis(params, b, a))
@@ -268,16 +255,16 @@ def _bracket_tilde(params: Params, a: BasisSymbol, b: BasisSymbol) -> dict:
     out = {}
 
     def add_k(coef_k0, coef_s, coef_r=Q(0)):
-        _add(out, BasisSymbol("k", j, r, 0), coef_k0)
+        merge(out, BasisSymbol("k", j, r, 0), coef_k0)
         for p in range(1, params.N + 1):
-            _add(out, BasisSymbol("k", j, r, p),
-                 coef_s * ss[p - 1] + coef_r * rr[p - 1])
+            merge(out, BasisSymbol("k", j, r, p),
+                  coef_s * ss[p - 1] + coef_r * rr[p - 1])
 
     if a.idx >= 1 and b.idx >= 1:
         sa, rb = Q(ss[a.idx - 1]), Q(rr[b.idx - 1])
         ra, sb = Q(rr[a.idx - 1]), Q(ss[b.idx - 1])
-        _add(out, BasisSymbol("dt", j, r, b.idx), sa)
-        _add(out, BasisSymbol("dt", j, r, a.idx), -rb)
+        merge(out, BasisSymbol("dt", j, r, b.idx), sa)
+        merge(out, BasisSymbol("dt", j, r, a.idx), -rb)
         w = mu * sa * rb + nu * ra * sb
         if w:
             add_k(w * jj, w)
@@ -285,19 +272,19 @@ def _bracket_tilde(params: Params, a: BasisSymbol, b: BasisSymbol) -> dict:
 
     if a.idx == 0 and b.idx >= 1:
         rb, sb = Q(rr[b.idx - 1]), Q(ss[b.idx - 1])
-        _add(out, BasisSymbol("dt", j, r, b.idx), Q(-jj))
-        _add(out, BasisSymbol("dt", j, r, 0), -rb)
+        merge(out, BasisSymbol("dt", j, r, b.idx), Q(-jj))
+        merge(out, BasisSymbol("dt", j, r, 0), -rb)
         add_k(-(mu * rb * (jj - 1) + nu * sb * (i + 1)) * jj, Q(0))
         coef = -(mu * rb * jj + nu * sb * (i + 1))
         for p in range(1, params.N + 1):
-            _add(out, BasisSymbol("k", j, r, p), coef * ss[p - 1])
+            merge(out, BasisSymbol("k", j, r, p), coef * ss[p - 1])
         return out
 
     if a.idx >= 1 and b.idx == 0:
         return _negate(_bracket_tilde(params, b, a))
 
     # both are the shifted d_0
-    _add(out, BasisSymbol("dt", j, r, 0), Q(i - jj))
+    merge(out, BasisSymbol("dt", j, r, 0), Q(i - jj))
     w = (mu + nu) * (jj + 1) * (i + 1)
     add_k(w * jj, w)
     return out
@@ -344,16 +331,14 @@ def _plain_to_tilde(params: Params, sym: BasisSymbol) -> dict:
 def to_tilde(el: ToroidalElement) -> ToroidalElement:
     out = {}
     for sym, cf in el.terms.items():
-        for s2, c2 in _plain_to_tilde(el.params, sym).items():
-            out[s2] = out.get(s2, Q(0)) + cf * c2
+        add_into(out, _plain_to_tilde(el.params, sym), cf)
     return ToroidalElement(el.params, out)
 
 
 def from_tilde(el: ToroidalElement) -> ToroidalElement:
     out = {}
     for sym, cf in el.terms.items():
-        for s2, c2 in _tilde_to_plain(el.params, sym).items():
-            out[s2] = out.get(s2, Q(0)) + cf * c2
+        add_into(out, _tilde_to_plain(el.params, sym), cf)
     return ToroidalElement(el.params, out)
 
 
@@ -366,9 +351,7 @@ def bracket(a: ToroidalElement, b: ToroidalElement) -> ToroidalElement:
     out = {}
     for sa, ca in a.terms.items():
         for sb, cb in b.terms.items():
-            cf = ca * cb
-            for sym, c in _bracket_basis(a.params, sa, sb).items():
-                out[sym] = out.get(sym, Q(0)) + cf * c
+            add_into(out, _bracket_basis(a.params, sa, sb), ca * cb)
     return ToroidalElement(a.params, out)
 
 

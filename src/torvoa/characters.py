@@ -130,10 +130,11 @@ class CharTable:
             return False
 
 
-def enumerate_weight_spaces(module: RealizationModule, max_depth: int,
-                            m_window: int = 2) -> CharTable:
+def enumerate_weight_spaces(module: RealizationModule,
+                            max_depth: int) -> CharTable:
     """Exact dimensions by direct enumeration of oscillator monomials times
-    the induced-module monomials times the top dimension."""
+    the induced-module monomials times the top dimension, at every lattice
+    weight m in {-2, .., 2}^N."""
     if max_depth > MAX_ENUMERATION_DEPTH:
         raise ResourceLimitError(
             f"depth {max_depth} exceeds the enumeration bound {MAX_ENUMERATION_DEPTH}")
@@ -144,7 +145,7 @@ def enumerate_weight_spaces(module: RealizationModule, max_depth: int,
     entries = {}
     for n in range(max_depth + 1):
         total = sum(osc_counts[k] * f_counts[n - k] for k in range(n + 1)) * top
-        for m in _index_box(N, m_window):
+        for m in _index_box(N, 2):
             entries[(n, tuple(m))] = total
     return CharTable(entries, max_depth)
 

@@ -310,7 +310,7 @@ def verify_fields(module, rng, task):
     vectors = module.sample_vectors(1)
     names = sorted({n for n, _a, _b in default_identity_pairs(module.params)})
     return [_count_check(f"fields:{name}", *field_commutator_window_check(
-        module, window=task.window, rbound=1, vectors=vectors, names=[name]))
+        module, window=task.window, vectors=vectors, names=[name]))
         for name in names], {}
 
 
@@ -352,7 +352,7 @@ def verify_realization(module, rng, task):
                      *top_action_check(module, window=min(task.window, 2)))]
     if module.is_standard_top():
         checks += [_count_check(f"realization:{rid}",
-                                *relation_check(module, rid, window=1))
+                                *relation_check(module, rid))
                    for rid in RELATION_IDS]
     else:
         checks.append({"id": "realization:relations", "status": "skipped",
@@ -469,8 +469,12 @@ def main(argv=None) -> int:
     text = render_report(report)
     sys.stdout.write(text)
     if args.json_out:
-        with open(args.json_out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(args.json_out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            sys.stderr.write(f"error: cannot write {args.json_out}: {exc}\n")
+            return 2
     return 0 if report_passed(report) else 1
 
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .linalg import echelon, invert
+from .linalg import echelon, invert, merge
 
 Q = Fraction
 
@@ -403,11 +403,10 @@ class ReductiveF:
             _, c, d = sj
             out = {}
             if b == c:
-                out[self.e_index(a, d)] = out.get(self.e_index(a, d), Q(0)) + 1
+                merge(out, self.e_index(a, d), Q(1))
             if d == a:
-                k = self.e_index(c, b)
-                out[k] = out.get(k, Q(0)) - 1
-            return {k: v for k, v in out.items() if v}
+                merge(out, self.e_index(c, b), Q(-1))
+            return out
         return {}
 
     def phi(self, i, j) -> dict:

@@ -22,7 +22,7 @@ from functools import cache
 from math import factorial
 from typing import Optional
 
-from .linalg import merge, vec_add, vec_eq
+from .linalg import add_into, merge, vec_add, vec_eq
 
 Q = Fraction
 
@@ -151,8 +151,7 @@ def heis_act(L: HypLattice, x, n: int, vec):
     out = {}
     for g, comp in enumerate(x):
         if comp:
-            for key, cf in heis_act_gen(L, g, n, vec).items():
-                merge(out, key, comp * cf)
+            add_into(out, heis_act_gen(L, g, n, vec), comp)
     return out
 
 
@@ -264,8 +263,7 @@ def hyp_virasoro_mode(L: HypLattice, m: int, vec):
     out = {}
     for p in range(L.N):
         chain = (("osc", p, 0), ("osc", L.N + p, 0))
-        for key, cf in _apply_factors(L, chain, None, -m - 2, vec).items():
-            merge(out, key, cf)
+        add_into(out, _apply_factors(L, chain, None, -m - 2, vec))
     return out
 
 
@@ -306,17 +304,14 @@ def _term_apply(L, factors, expy, osc, lat, e):
     # the annihilation part of the leftmost factor (exponents below 0) acts
     # first; on this monomial it vanishes below -1 - depth - nderiv
     for e1 in range(-1, -2 - fock_depth(osc) - F[2], -1):
-        w = _factor_at(L, F, e1, term)
-        for (osc2, lat2), cf in w.items():
-            for key2, c2 in _term_apply(L, rest, expy, osc2, lat2, e - e1).items():
-                merge(out, key2, cf * c2)
+        for (osc2, lat2), cf in _factor_at(L, F, e1, term).items():
+            add_into(out, _term_apply(L, rest, expy, osc2, lat2, e - e1), cf)
     lo = _term_min_exponent(L, rest, expy, osc, lat)
     e1 = 0
     while Q(e) - e1 >= lo:
         inner = _term_apply(L, rest, expy, osc, lat, e - e1)
         if inner:
-            for key2, cf in _factor_at(L, F, e1, inner).items():
-                merge(out, key2, cf)
+            add_into(out, _factor_at(L, F, e1, inner))
         e1 += 1
     L._field_cache[key] = out
     return out
@@ -326,8 +321,7 @@ def _apply_factors(L, factors, expy, e, vec):
     out = {}
     ee = Q(e)
     for (osc, lat), cf in vec.items():
-        for key, c in _term_apply(L, factors, expy, osc, lat, ee).items():
-            merge(out, key, cf * c)
+        add_into(out, _term_apply(L, factors, expy, osc, lat, ee), cf)
     return out
 
 
@@ -360,8 +354,7 @@ def state_mode(L: HypLattice, state, n, vec):
         if any(x.denominator != 1 for x in lat):
             raise ValueError("state fields need integral lattice points")
         factors = tuple(("osc", g, -m - 1) for (g, m) in osc)
-        for key, c in _apply_factors(L, factors, lat, -n - 1, vec).items():
-            merge(out, key, cf * c)
+        add_into(out, _apply_factors(L, factors, lat, -n - 1, vec), cf)
     return out
 
 
@@ -414,8 +407,7 @@ def voa_axiom_check(L: HypLattice, a, b, c, window=3, borcherds_window=2):
             for k in range(0, kmax + 1):
                 cf = binom(m, k)
                 if cf:
-                    for key, v in pc(k, m + n - k).items():
-                        merge(rhs, key, cf * v)
+                    add_into(rhs, pc(k, m + n - k), cf)
             if not vec_eq(lhs, rhs):
                 failures.append(("commutator", m, n))
 
@@ -429,21 +421,18 @@ def voa_axiom_check(L: HypLattice, a, b, c, window=3, borcherds_window=2):
                         break
                     cf = binom(m, j)
                     if cf:
-                        for key, v in pc(k + j, m + n - j).items():
-                            merge(lhs, key, cf * v)
+                        add_into(lhs, pc(k + j, m + n - j), cf)
                 rhs = {}
                 for j in range(0, da + dc - m + 2):
                     cf = binom(k, j)
                     if cf:
                         sgn = Q(-1) if (k + j + 1) % 2 else Q(1)
-                        for key, v in ba(n + k - j, m + j).items():
-                            merge(rhs, key, sgn * cf * v)
+                        add_into(rhs, ba(n + k - j, m + j), sgn * cf)
                 for j in range(0, db + dc - n + 2):
                     cf = binom(k, j)
                     if cf:
                         sgn = Q(-1) if j % 2 else Q(1)
-                        for key, v in ab(m + k - j, n + j).items():
-                            merge(rhs, key, sgn * cf * v)
+                        add_into(rhs, ab(m + k - j, n + j), sgn * cf)
                 if not vec_eq(lhs, rhs):
                     failures.append(("borcherds", k, m, n))
 
@@ -460,9 +449,7 @@ def voa_axiom_check(L: HypLattice, a, b, c, window=3, borcherds_window=2):
             for _ in range(j):
                 base = translate(L, base)
             sgn = Q(-1) if (n + j + 1) % 2 else Q(1)
-            cf = sgn / factorial(j)
-            for key, v in base.items():
-                merge(rhs, key, cf * v)
+            add_into(rhs, base, sgn / factorial(j))
         if not vec_eq(lhs, rhs):
             failures.append(("skew", n))
     return failures

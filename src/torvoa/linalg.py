@@ -1,8 +1,12 @@
-"""Exact linear algebra over rationals: sparse vectors {key: Fraction}
-without zero entries, and one sparse reduced row echelon kernel
-(``echelon``) on which the rank, ``nullspace`` and ``invert`` are built.
-The matrices of the singular-vector search are a few percent dense, so the
-kernel keeps its rows as sparse dicts and never touches a zero entry.
+"""Exact linear algebra over rationals: sparse vectors {key: Fraction},
+and one sparse reduced row echelon kernel (``echelon``) on which the rank,
+``nullspace`` and ``invert`` are built.
+
+A sparse vector stores no zero.  ``merge`` and ``add_into`` are the only
+code that adds into one, so every layer's sums keep that rule: an entry
+that cancels is deleted.  The matrices of the singular-vector search are a
+few percent dense, so the kernel keeps its rows as sparse dicts and never
+touches a zero entry.
 """
 
 from __future__ import annotations
@@ -13,22 +17,35 @@ Q = Fraction
 
 
 def merge(out, key, cf):
-    """Add ``cf`` at ``key`` of the sparse vector ``out`` in place; entries
-    that cancel are removed."""
+    """Add ``cf`` at ``key`` of the sparse vector ``out`` in place; a zero
+    ``cf`` is skipped and an entry that cancels is removed."""
     if cf:
-        v = out.get(key, Q(0)) + cf
-        if v:
-            out[key] = v
+        v = out.get(key)
+        if v is None:
+            out[key] = cf
         else:
-            del out[key]
+            v += cf
+            if v:
+                out[key] = v
+            else:
+                del out[key]
 
 
-def vec_add(a, b, scale=Q(1)):
-    """The sparse vector a + scale * b."""
-    out = dict(a)
-    for k, v in b.items():
-        merge(out, k, scale * v)
+def add_into(out, vec, scale=1):
+    """out += scale * vec in place, entry by entry through ``merge``;
+    returns ``out``.  ``vec`` must not be ``out``."""
+    if scale == 1:
+        for k, v in vec.items():
+            merge(out, k, v)
+    else:
+        for k, v in vec.items():
+            merge(out, k, scale * v)
     return out
+
+
+def vec_add(a, b, scale=1):
+    """The sparse vector a + scale * b."""
+    return add_into(dict(a), b, scale)
 
 
 def vec_scale(a, s):
@@ -38,18 +55,6 @@ def vec_scale(a, s):
 
 def vec_eq(a, b):
     return vec_add(a, b, Q(-1)) == {}
-
-
-def _subtract(out, f, row):
-    """out -= f * row, in place on the sparse vector ``out``; ``f`` and the
-    entries of ``row`` are nonzero, so only entries already in ``out`` can
-    cancel."""
-    for c, v in row.items():
-        x = out.get(c, 0) - f * v
-        if x:
-            out[c] = x
-        else:
-            del out[c]
 
 
 def echelon(rows):
@@ -70,7 +75,7 @@ def echelon(rows):
         items = row.items() if isinstance(row, dict) else enumerate(row)
         r = {c: Q(x) for c, x in items if x}
         for p in [c for c in r if c in pivots]:
-            _subtract(r, r[p], pivots[p])
+            add_into(r, pivots[p], -r[p])
         if not r:
             continue
         p = min(r)
@@ -78,7 +83,7 @@ def echelon(rows):
         r = {c: v * inv for c, v in r.items()}
         for s in pivots.values():
             if p in s:
-                _subtract(s, s[p], r)
+                add_into(s, r, -s[p])
         pivots[p] = r
     return pivots
 

@@ -36,7 +36,7 @@ from .finite_lie_data import (FiniteModule, GLModule, ReductiveF,
 from .lattice_fock import (HypLattice, _exp_term, _insert_osc, coset_point,
                            falling, fock_depth, heis_act_gen,
                            hyp_virasoro_mode, random_osc)
-from .linalg import merge, vec_add, vec_eq, vec_scale
+from .linalg import add_into, merge, vec_add, vec_eq, vec_scale
 from .virasoro_affine import (CentralCharacter, FModule, mode_of,
                               sugawara_constants)
 
@@ -150,8 +150,8 @@ class RealizationModule:
     def realize_plan(self, sym: BasisSymbol):
         """Composite operator description: list of (coeff, factors, exponent).
 
-        Factors are ('osc', g, nderiv), ('fvir',), ('cur', ((idx, coeff),
-        ...)), with the exponential ('exp', y) last.
+        Factors are ('osc', g, nderiv), ('fvir',) and ('cur', idx), with the
+        exponential ('exp', y) last.
         """
         p = self.params
         N = p.N
@@ -163,8 +163,7 @@ class RealizationModule:
                 return [(c, (ex,), -j)]
             return [(c, (("osc", sym.idx - 1, 0), ex), -j - 1)]
         if sym.tag == "g":
-            cur = ("cur", ((sym.idx, Q(1)),))
-            return [(Q(1), (cur, ex), -j - 1)]
+            return [(Q(1), (("cur", sym.idx), ex), -j - 1)]
         if sym.tag == "dt":
             if sym.idx >= 1:
                 pidx = sym.idx
@@ -172,7 +171,7 @@ class RealizationModule:
                 for a in range(1, N + 1):
                     ra = r[a - 1]
                     if ra:
-                        cur = ("cur", ((self.fd.e_index(a, pidx), Q(1)),))
+                        cur = ("cur", self.fd.e_index(a, pidx))
                         plan.append((Q(ra), (cur, ex), -j - 1))
                 return plan
             # :(:u_p v_p:) Y(e^y): = :u_p :v_p Y(e^y):: + r_p :(d u_p) Y(e^y):
@@ -186,7 +185,7 @@ class RealizationModule:
                 if not ra:
                     continue
                 for b in range(1, N + 1):
-                    cur = ("cur", ((self.fd.e_index(a, b), Q(1)),))
+                    cur = ("cur", self.fd.e_index(a, b))
                     plan.append((Q(ra), (("osc", b - 1, 0), cur, ex), -j - 2))
             coef = p.mu * c
             if coef:
@@ -250,15 +249,11 @@ class RealizationModule:
                                                  lat, e - e2)
                 if not fpart:
                     continue
-                if ffac[0] == "fvir":
-                    modes = [(Q(1), ("L", -e2 - 2))]
-                else:
-                    modes = [(w, ("f", idx, -e2 - 1)) for idx, w in ffac[1]]
-                for w, sym in modes:
-                    for fkey2, c2 in self.fmod.apply_sym(sym, mono,
-                                                         top).items():
-                        for fk2, c1 in fpart.items():
-                            merge(out, (fk2, fkey2), w * c1 * c2)
+                sym = (("L", -e2 - 2) if ffac[0] == "fvir"
+                       else ("f", ffac[1], -e2 - 1))
+                for fkey2, c2 in self.fmod.apply_sym(sym, mono, top).items():
+                    for fk2, c1 in fpart.items():
+                        merge(out, (fk2, fkey2), c1 * c2)
         self._term_cache[key] = out
         return out
 
@@ -266,8 +261,7 @@ class RealizationModule:
         out = {}
         ee = Q(e)
         for (fk, fkey), cf in vec.items():
-            for key, c in self._term_ordered(factors, ee, fk, fkey).items():
-                merge(out, key, cf * c)
+            add_into(out, self._term_ordered(factors, ee, fk, fkey), cf)
         return out
 
     # -- the action ------------------------------------------------------------
@@ -275,8 +269,7 @@ class RealizationModule:
     def g_act_symbol(self, sym: BasisSymbol, vec):
         out = {}
         for coeff, factors, e in self.realize_plan(sym):
-            for key, cf in self._apply_ordered(factors, e, vec).items():
-                merge(out, key, coeff * cf)
+            add_into(out, self._apply_ordered(factors, e, vec), coeff)
         return out
 
     def g_act(self, x, vec):
@@ -286,8 +279,7 @@ class RealizationModule:
         if isinstance(x, ToroidalElement):
             out = {}
             for sym, cf in x.terms.items():
-                for key, c in self.g_act_symbol(sym, vec).items():
-                    merge(out, key, cf * c)
+                add_into(out, self.g_act_symbol(sym, vec), cf)
             return out
         raise ConfigError("g_act expects a basis symbol or an element")
 
@@ -343,13 +335,14 @@ class RealizationModule:
                 ("L", -2), self.fmod.top_vector())))
         return [v for v in out if v]
 
-    def random_vector(self, rng: random.Random, max_depth=2, m_bound=1):
-        """Seeded homogeneous basis vector of total depth <= max_depth."""
+    def random_vector(self, rng: random.Random, max_depth=2):
+        """Seeded homogeneous basis vector of total depth <= max_depth, at
+        a lattice point (alpha + m) u with m in {-1, 0, 1}^N."""
         osc = random_osc(rng, self.params.N, max_depth)
         monos = self.fmod.monomials_at(max_depth - fock_depth(osc))
         mono = rng.choice(monos) if monos else ()
         top = rng.choice(self.fmod.tops)
-        m = tuple(rng.randint(-m_bound, m_bound) for _ in range(self.params.N))
+        m = tuple(rng.randint(-1, 1) for _ in range(self.params.N))
         fk = (osc, self.lattice_point(m))
         return {(fk, (mono, top)): Q(1)}
 
@@ -471,10 +464,7 @@ def rhs_mode_element(params, akind, r, bkind, m, i, jj) -> ToroidalElement:
         ee = -jj - wb - k + n
         l = -ee - wf - dv
         extra = falling(-l - wf, dv)
-        total = coeff * dfac * extra
-        if total:
-            sym = field_symbol(params, fkind, l, rm)
-            acc[sym] = acc.get(sym, Q(0)) + total
+        merge(acc, field_symbol(params, fkind, l, rm), coeff * dfac * extra)
     return ToroidalElement(params, acc)
 
 
@@ -514,9 +504,10 @@ def _index_box(N, bound):
     return out
 
 
-def field_commutator_window_check(module: RealizationModule, window=3, rbound=1,
+def field_commutator_window_check(module: RealizationModule, window=3,
                                   vectors=None, names=None, rm_samples=None):
-    """Check the displayed field commutators mode by mode on sample vectors.
+    """Check the displayed field commutators mode by mode on sample vectors,
+    by default for every pair of multi-indices r, m in {-1, 0, 1}^N.
 
     Returns (checked, failures); failures list (name, r, m, i, jj).
     """
@@ -526,7 +517,7 @@ def field_commutator_window_check(module: RealizationModule, window=3, rbound=1,
     if names is not None:
         pairs = [p for p in pairs if p[0] in names]
     if rm_samples is None:
-        box = _index_box(params.N, rbound)
+        box = _index_box(params.N, 1)
         rm_samples = [(r, m) for r in box for m in box]
     modes = range(-window, window + 1)
     failures = []
@@ -655,8 +646,9 @@ def _small_r_samples(N):
     return out
 
 
-def relation_check(module: RealizationModule, relation_id: str, window=1):
-    """Exact operator identities satisfied by the standard-top realization.
+def relation_check(module: RealizationModule, relation_id: str):
+    """Exact operator identities satisfied by the standard-top realization,
+    over multi-indices in {-1, 0, 1}^N.
 
     The two vanishing statements 'vir-lowering' (first part) and 'vir-depth2'
     hold after the translation-null reduction and are checked on the vacuum
@@ -670,7 +662,7 @@ def relation_check(module: RealizationModule, relation_id: str, window=1):
     p = module.params
     N = p.N
     c = p.c
-    box = _index_box(N, window)
+    box = _index_box(N, 1)
     s_samples = _small_r_samples(N)
     failures = []
     checked = 0
@@ -792,7 +784,7 @@ def relation_check(module: RealizationModule, relation_id: str, window=1):
         cases += [("dt", dt_sym(p, n1 - 1, zr, 1), n1) for n1 in range(-1, 2)]
         for a in range(1, N + 1):
             for b in range(1, N + 1):
-                ecombo = ("cur", ((module.fd.e_index(a, b), Q(1)),))
+                ecombo = ("cur", module.fd.e_index(a, b))
                 for other, sym, n1 in cases:
                     for n2 in range(-1, 2):
                         for vec in vectors:
@@ -830,7 +822,7 @@ def relation_check(module: RealizationModule, relation_id: str, window=1):
                 for s in range(1, N + 1):
                     for t in range(1, N + 1):
                         state = module.gl_current_state(s, t)
-                        combo = ("cur", ((module.fd.e_index(a, b), Q(1)),))
+                        combo = ("cur", module.fd.e_index(a, b))
                         got0 = module._apply_ordered((combo,), -1, state)
                         want0 = {}
                         if b == s:

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .finite_lie_data import FiniteModule, GLModule, ReductiveF, ValidationError
-from .linalg import nullspace, vec_add, vec_eq, vec_scale
+from .linalg import add_into, merge, nullspace, vec_add, vec_eq, vec_scale
 
 Q = Fraction
 
@@ -78,9 +78,9 @@ def f_bracket(fd: ReductiveF, a, b) -> dict:
         n, m = a[1], b[1]
         if n != m:
             out[("L", n + m)] = Q(n - m)
-        if n == -m and n != 0:
-            out[("C", "c_vir")] = Q(n ** 3 - n, 12)
-        return {k: v for k, v in out.items() if v}
+        if n == -m:
+            merge(out, ("C", "c_vir"), Q(n ** 3 - n, 12))
+        return out
     if a[0] == "L" and b[0] == "f":
         n, i, m = a[1], b[1], b[2]
         if m:
@@ -96,11 +96,11 @@ def f_bracket(fd: ReductiveF, a, b) -> dict:
     i, n = a[1], a[2]
     j, m = b[1], b[2]
     for k, cf in fd.bracket(i, j).items():
-        out[("f", k, n + m)] = out.get(("f", k, n + m), Q(0)) + cf
-    if n == -m and n != 0:
+        merge(out, ("f", k, n + m), cf)
+    if n == -m:
         for name, cf in fd.phi(i, j).items():
-            out[("C", name)] = out.get(("C", name), Q(0)) + Q(n) * cf
-    return {k: v for k, v in out.items() if v}
+            merge(out, ("C", name), n * cf)
+    return out
 
 
 class FModule:
@@ -161,7 +161,7 @@ class FModule:
                 if a == b and self.h_hei:
                     hh = self.h_hei / N
                     for t in self.tops:
-                        entries[(t, t)] = entries.get((t, t), Q(0)) + hh
+                        merge(entries, (t, t), hh)
             table.append(entries)
         return table
 
@@ -176,13 +176,14 @@ class FModule:
         out = {}
         for (src, dst), cf in self._zero_action[sym[1]].items():
             if src == top:
-                out[((), dst)] = out.get(((), dst), Q(0)) + cf
+                merge(out, ((), dst), cf)
         return out
 
     def apply_sym(self, sym, mono, top):
         """sym * (mono acting on top); returns a cached dict, do not mutate."""
         if sym[0] == "C":
-            return {(mono, top): self.gamma[sym[1]]}
+            value = self.gamma[sym[1]]
+            return {(mono, top): value} if value else {}
         key = (sym, mono, top)
         hit = self._cache.get(key)
         if hit is not None:
@@ -203,14 +204,10 @@ class FModule:
         else:
             head, rest = mono[0], mono[1:]
             out = {}
-            inner = self.apply_sym(sym, rest, top)
-            for (m2, t2), c2 in inner.items():
-                for k3, c3 in self.apply_sym(head, m2, t2).items():
-                    out[k3] = out.get(k3, Q(0)) + c2 * c3
+            for (m2, t2), c2 in self.apply_sym(sym, rest, top).items():
+                add_into(out, self.apply_sym(head, m2, t2), c2)
             for bsym, bc in f_bracket(self.fd, sym, head).items():
-                for k3, c3 in self.apply_sym(bsym, rest, top).items():
-                    out[k3] = out.get(k3, Q(0)) + bc * c3
-            out = {k: v for k, v in out.items() if v}
+                add_into(out, self.apply_sym(bsym, rest, top), bc)
         self._cache[key] = out
         return out
 
@@ -218,17 +215,15 @@ class FModule:
         """Apply one mode or central symbol to a vector."""
         out = {}
         for (mono, top), cf in vec.items():
-            for k, c in self.apply_sym(sym, mono, top).items():
-                out[k] = out.get(k, Q(0)) + cf * c
-        return {k: v for k, v in out.items() if v}
+            add_into(out, self.apply_sym(sym, mono, top), cf)
+        return out
 
     def act_current(self, combo, n, vec):
         """Apply sum_i combo[i] x_i(n)."""
         out = {}
         for i, cf in combo.items():
-            for k, c in self.act(("f", i, n), vec).items():
-                out[k] = out.get(k, Q(0)) + cf * c
-        return {k: v for k, v in out.items() if v}
+            add_into(out, self.act(("f", i, n), vec), cf)
+        return out
 
     # -- bases ----------------------------------------------------------------
 
@@ -355,14 +350,12 @@ def _pair_mode(module: FModule, xcombo, ycombo, m, vec):
     for k in range(m - dmax, 0):
         w = module.act_current(ycombo, m - k, vec)
         if w:
-            for key, cf in module.act_current(xcombo, k, w).items():
-                out[key] = out.get(key, Q(0)) + cf
+            add_into(out, module.act_current(xcombo, k, w))
     for k in range(0, dmax + 1):
         w = module.act_current(xcombo, k, vec)
         if w:
-            for key, cf in module.act_current(ycombo, m - k, w).items():
-                out[key] = out.get(key, Q(0)) + cf
-    return {k: v for k, v in out.items() if v}
+            add_into(out, module.act_current(ycombo, m - k, w))
+    return out
 
 
 def sugawara_mode(module: FModule, m: int, vec):
@@ -370,13 +363,12 @@ def sugawara_mode(module: FModule, m: int, vec):
     gamma = CentralCharacter(**module.gamma)
     check_generic(module.fd, gamma)
     fd = module.fd
-    out = dict(module.act(("L", m), vec))
+    out = module.act(("L", m), vec)
 
     def accumulate(pairs, denom):
         scale = Q(-1) / denom
         for xc, yc, cf in pairs:
-            for key, v in _pair_mode(module, xc, yc, m, vec).items():
-                out[key] = out.get(key, Q(0)) + scale * cf * v
+            add_into(out, _pair_mode(module, xc, yc, m, vec), scale * cf)
 
     accumulate(module.quadratic["g"], 2 * (gamma.c_g + fd.g.h_vee))
     if fd.N >= 2:
@@ -386,9 +378,8 @@ def sugawara_mode(module: FModule, m: int, vec):
     # (c_vh/c_hei) (m+1) I(m) at Virasoro mode m
     cf = gamma.c_vh / gamma.c_hei * (m + 1)
     if cf:
-        for key, v in module.act_current(fd.identity_combo(), m, vec).items():
-            out[key] = out.get(key, Q(0)) + cf * v
-    return {k: v for k, v in out.items() if v}
+        add_into(out, module.act_current(fd.identity_combo(), m, vec), cf)
+    return out
 
 
 def sugawara_test_vectors(module: FModule, rng, per_depth):

@@ -57,8 +57,7 @@ def test_ac1_jacobi(params_n1, params_n2):
 def test_ac2_field_relations(module_n1, module_n2):
     t0 = time.time()
     checked1, failures1 = field_commutator_window_check(
-        module_n1, window=3, rbound=1,
-        vectors=module_n1.sample_vectors(1)[:2])
+        module_n1, window=3, vectors=module_n1.sample_vectors(1)[:2])
     # the cross terms distinguishing the two cocycle weights need two space
     # directions; cover them on a seeded index sample
     rng = random.Random(SEED)
@@ -131,7 +130,7 @@ def test_ac7_gl_current_products(module_n2, params_n2):
     t0 = time.time()
     assert 1 - params_n2.mu * params_n2.c == Q(1, 3)
     assert params_n2.nu * params_n2.c == Q(2, 5)
-    checked, failures = relation_check(module_n2, "glcurrent-ope", window=1)
+    checked, failures = relation_check(module_n2, "glcurrent-ope")
     ok = checked == 64 and not failures
     assert _report("AC-7", ok,
                    f"16 index tuples x 4 modes, {time.time()-t0:.1f}s")
@@ -290,7 +289,7 @@ def test_ac10_weight_independence(module_n1, module_n2, module_n2_natural):
     ok = True
     for module, depth in ((module_n1, 3), (module_n2, 2),
                           (module_n2_natural, 2)):
-        table = enumerate_weight_spaces(module, depth, m_window=2)
+        table = enumerate_weight_spaces(module, depth)
         for n in range(depth + 1):
             dims = {v for (nn, _m), v in table.entries.items() if nn == n}
             if len(dims) != 1:

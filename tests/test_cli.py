@@ -303,3 +303,15 @@ class TestBadInput:
         path.write_text(MINIMAL, encoding="utf-8")
         status, err = self._main(capsys, [str(path), flag, "-1"])
         assert status == 2 and "nonnegative integer" in err
+
+    def test_unwritable_json_path(self, tmp_path, capsys):
+        path = tmp_path / "run.torvoa"
+        path.write_text(MINIMAL.replace("depth = 2", "depth = 1"),
+                        encoding="utf-8")
+        target = tmp_path / "absent" / "x.json"
+        status = main([str(path), "--json", str(target)])
+        out, err = capsys.readouterr()
+        assert status == 2
+        assert json.loads(out)["command"] == "char"
+        assert err.startswith(f"error: cannot write {target}: ")
+        assert err.count("\n") == 1

@@ -1,4 +1,5 @@
-"""The sparse echelon kernel against sympy's exact DomainMatrix over QQ.
+"""The sparse-vector primitives against a dense sum, and the sparse echelon
+kernel against sympy's exact DomainMatrix over QQ.
 
 sympy is a test-only oracle; the package itself needs only the standard
 library.  Matrices are seeded random sparse rationals, tall, wide and
@@ -12,7 +13,8 @@ from fractions import Fraction as Q
 
 import pytest
 
-from torvoa.linalg import echelon, invert, nullspace
+from torvoa.linalg import (add_into, echelon, invert, merge, nullspace,
+                           vec_add, vec_eq)
 
 QQ = pytest.importorskip("sympy").QQ
 DomainMatrix = pytest.importorskip("sympy.polys.matrices").DomainMatrix
@@ -152,3 +154,40 @@ def test_invert_rejects_singular(seed):
         assert _domain(singular, n).rank() < n
         with pytest.raises(ValueError):
             invert(_dense(singular, n))
+
+
+def test_merge_in_place_drops_zero_and_cancelled_entries():
+    out = {"a": Q(1, 2)}
+    merge(out, "a", Q(1, 3))
+    merge(out, "b", Q(-2))
+    assert out == {"a": Q(5, 6), "b": Q(-2)}
+    merge(out, "c", Q(0))
+    merge(out, "a", Q(-5, 6))
+    assert out == {"b": Q(-2)}
+    merge(out, "b", 2)
+    assert out == {}
+
+
+@pytest.mark.parametrize("scale", [1, Q(1), -1, Q(-3, 7), Q(10**9 + 7, 2), 0])
+@pytest.mark.parametrize("seed", range(4))
+def test_add_into_matches_dense_sum(scale, seed):
+    rng = random.Random(seed)
+    keys = range(16)
+    a = {k: _entry(rng) for k in keys if rng.random() < 0.5}
+    b = {k: _entry(rng) for k in keys if rng.random() < 0.5}
+    if scale:
+        # entries of scale * b that cancel entries of a exactly
+        for k in rng.sample(sorted(a), min(3, len(a))):
+            b[k] = -a[k] / scale
+    want = {k: a.get(k, 0) + scale * b.get(k, 0) for k in keys}
+    want = {k: v for k, v in want.items() if v}
+    a0, b0 = dict(a), dict(b)
+
+    out = dict(a)
+    assert add_into(out, b, scale) is out
+    assert out == want
+    assert all(out.values()) and all(type(v) is Q for v in out.values())
+    assert vec_add(a, b, scale) == want
+    assert a == a0 and b == b0
+    assert vec_eq(vec_add(a, b, scale), want)
+    assert vec_eq(a, b) == (a == b)

@@ -206,8 +206,7 @@ class TestDisplayedIdentities:
 
     def test_on_module_window(self, module_n1):
         checked, failures = field_commutator_window_check(
-            module_n1, window=2, rbound=1,
-            vectors=module_n1.sample_vectors(1)[:2])
+            module_n1, window=2, vectors=module_n1.sample_vectors(1)[:2])
         assert checked > 0 and failures == []
 
     def test_center_identities_include_eliminated_modes(self, module_n1, params_n1):
@@ -241,12 +240,12 @@ class TestTopAction:
 class TestRelations:
     @pytest.mark.parametrize("rid", RELATION_IDS)
     def test_relations_n1(self, module_n1, rid):
-        checked, failures = relation_check(module_n1, rid, window=1)
+        checked, failures = relation_check(module_n1, rid)
         assert checked > 0 and failures == []
 
     @pytest.mark.parametrize("rid", ["glcurrent-ope", "vir-lowering", "vir-depth2"])
     def test_relations_n2(self, module_n2, rid):
-        checked, failures = relation_check(module_n2, rid, window=1)
+        checked, failures = relation_check(module_n2, rid)
         assert checked > 0 and failures == []
 
     def test_ope_coefficients_reference(self, module_n2, params_n2):
@@ -257,11 +256,11 @@ class TestRelations:
         assert (1 - params_n2.mu * c) == Q(1, 3)
         assert params_n2.nu * c == Q(2, 5)
         state = M.gl_current_state(2, 1)
-        combo = ("cur", ((M.fd.e_index(1, 2), Q(1)),))
+        combo = ("cur", M.fd.e_index(1, 2))
         got = M._apply_ordered((combo,), -2, state)
         assert vec_eq(got, vec_scale(M.top_vector(), Q(1, 3)))
         state = M.gl_current_state(2, 2)
-        combo = ("cur", ((M.fd.e_index(1, 1), Q(1)),))
+        combo = ("cur", M.fd.e_index(1, 1))
         got = M._apply_ordered((combo,), -2, state)
         assert vec_eq(got, vec_scale(M.top_vector(), Q(-2, 5)))
 
@@ -373,9 +372,9 @@ class TestTensorSplit:
         e11 = M.fd.e_index(1, 1)
         # (factor chain, Fock factors, M_f field at z^e2 on an M_f vector)
         return [
-            ((("osc", 0, 0), ("cur", ((e11, Q(1)),)), ex), (("osc", 0, 0),),
+            ((("osc", 0, 0), ("cur", e11), ex), (("osc", 0, 0),),
              lambda e2, fv: M.fmod.act_current({e11: Q(1)}, -e2 - 1, fv), 1),
-            ((("cur", ((0, Q(1)),)), ex), (),
+            ((("cur", 0), ex), (),
              lambda e2, fv: M.fmod.act(("f", 0, -e2 - 1), fv), 1),
             ((("fvir",), ex), (),
              lambda e2, fv: M.fmod.act(("L", -e2 - 2), fv), 2),
@@ -411,7 +410,7 @@ class TestTensorSplit:
 
     def test_bad_chains_rejected(self, module_n1):
         v = module_n1.top_vector()
-        cur = ("cur", ((0, Q(1)),))
+        cur = ("cur", 0)
         with pytest.raises(ConfigError):
             module_n1._apply_ordered((("bogus",),), -1, v)
         with pytest.raises(ConfigError):

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from fractions import Fraction as Q
 
@@ -139,6 +140,33 @@ class TestModuleAction:
                 got = mod2.act(("L", 1), w)
                 cf = -Q(2) * gamma2.c_vh / 2 if a == b else Q(0)
                 assert vec_eq(got, {((), (0, 0)): cf} if cf else {})
+
+
+class TestNoStoredZero:
+    """A sparse vector stores no zero.  On the natural gl_2 top with
+    h_hei = 1, E_11(0) = h_hei/2 + (E_11 - I/2) is zero on the second basis
+    vector of W; with c_sl = 0 the central symbol c_sl acts by zero."""
+
+    @pytest.fixture(scope="class")
+    def cancelling(self, fd2, gamma2, sl2):
+        V = build_module(sl2, "trivial")
+        W = build_gl_module(2, "natural")
+        return FModule(fd2, dataclasses.replace(gamma2, c_sl=Q(0)), V, W,
+                       h_hei=Q(1), h_vir=Q(1, 3))
+
+    def test_cancelled_top_action_is_empty(self, cancelling, fd2):
+        assert all(all(t.values()) for t in cancelling._zero_action)
+        e11 = fd2.e_index(1, 1)
+        assert cancelling.apply_sym(("f", e11, 0), (), (0, 1)) == {}
+        assert cancelling.apply_sym(("C", "c_sl"), (), (0, 0)) == {}
+
+    def test_no_image_stores_zero(self, cancelling, fd2):
+        syms = [("L", n) for n in range(-2, 3)]
+        syms += [("f", i, n) for i in range(fd2.dim) for n in range(-2, 3)]
+        for depth in range(3):
+            for mono, top in cancelling.basis_at(depth):
+                for sym in syms:
+                    assert all(cancelling.apply_sym(sym, mono, top).values())
 
 
 class TestSingular:
