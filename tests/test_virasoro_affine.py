@@ -8,7 +8,7 @@ from torvoa import (CentralCharacter, CriticalLevelError, FModule, ReductiveF,
                     build_gl_module, build_module, f_bracket,
                     singular_vectors, sugawara_constants, sugawara_mode)
 from torvoa.characters import colored_partition_count
-from torvoa.linalg import vec_add, vec_eq
+from torvoa.linalg import add_into, vec_add, vec_eq
 
 
 @pytest.fixture(scope="module")
@@ -307,3 +307,125 @@ class TestSugawara:
             lhs = sugawara_mode(mod2, 1, mod2.act(("f", e12, -1), v))
             rhs = mod2.act(("f", e12, -1), sugawara_mode(mod2, 1, v))
             assert vec_eq(lhs, rhs)
+
+
+def _reference_sugawara(module, m, vec):
+    """L'(m) on a whole vector from the definition: L(m), minus each
+    sector's normally ordered quadratic with every current mode up to the
+    vector's maximal depth, plus the dI correction."""
+    fd = module.fd
+    gamma = CentralCharacter(**module.gamma)
+    dmax = max((sum(-s[-1] for s in mono) for mono, _top in vec), default=0)
+
+    def pair_mode(xcombo, ycombo):
+        out = {}
+        for k in range(m - dmax, 0):
+            w = module.act_current(ycombo, m - k, vec)
+            add_into(out, module.act_current(xcombo, k, w))
+        for k in range(0, dmax + 1):
+            w = module.act_current(xcombo, k, vec)
+            add_into(out, module.act_current(ycombo, m - k, w))
+        return out
+
+    out = module.act(("L", m), vec)
+    sectors = [("g", 2 * (gamma.c_g + fd.g.h_vee))]
+    if fd.N >= 2:
+        sectors.append(("sl", 2 * (gamma.c_sl + fd.N)))
+    sectors.append(("hei", 2 * gamma.c_hei))
+    for which, denom in sectors:
+        for xc, yc, cf in module.quadratic[which]:
+            add_into(out, pair_mode(xc, yc), -cf / denom)
+    add_into(out, module.act_current(fd.identity_combo(), m, vec),
+             gamma.c_vh / gamma.c_hei * (m + 1))
+    return out
+
+
+class TestSugawaraMemo:
+    """The memoized corrected Virasoro field against its definition on whole
+    vectors, on three tops: every depth <= 2 basis monomial and two
+    mixed-depth vectors with several terms, for modes -3..3."""
+
+    MODES = range(-3, 4)
+
+    @pytest.fixture(scope="class", params=["n1_standard", "n2_natural",
+                                           "n1_vacuum"])
+    def module(self, request, params_n1, params_n2, sl2):
+        params = params_n2 if request.param == "n2_natural" else params_n1
+        fd = ReductiveF(sl2, params.N)
+        gamma = CentralCharacter.from_params(params)
+        if request.param == "n2_natural":
+            return FModule(fd, gamma, build_module(sl2, "natural"),
+                           build_gl_module(2, "natural"),
+                           h_hei=Q(1, 5), h_vir=Q(8, 15))
+        W = build_gl_module(1, "trivial", id_scalar=params.nu * params.c)
+        return FModule(fd, gamma, build_module(sl2, "trivial"), W,
+                       h_hei=Q(0), h_vir=Q(0),
+                       vacuum=request.param == "n1_vacuum")
+
+    @staticmethod
+    def mixed_vectors(module):
+        tops = module.tops
+        m1, m2 = module.monomials_at(1), module.monomials_at(2)
+        return [
+            {((), tops[0]): Q(3, 7), (m1[0], tops[-1]): Q(-2),
+             (m2[-1], tops[0]): Q(5, 3)},
+            {(m1[-1], tops[0]): Q(-1, 4), (m2[0], tops[-1]): Q(7),
+             (m2[len(m2) // 2], tops[0]): Q(2, 9)},
+        ]
+
+    def test_matches_definition(self, module):
+        vecs = [{key: Q(1)} for depth in range(3)
+                for key in module.basis_at(depth)]
+        vecs += self.mixed_vectors(module)
+        for v in vecs:
+            for m in self.MODES:
+                got = sugawara_mode(module, m, v)
+                assert vec_eq(got, _reference_sugawara(module, m, v)), (m, v)
+                assert all(type(cf) is Q for cf in got.values())
+                assert all(got.values())
+
+    def test_memo_entries_share_symbols_and_coefficients(self, module):
+        for v in self.mixed_vectors(module):
+            for m in self.MODES:
+                sugawara_mode(module, m, v)
+        values = [cf for img in module._sugawara_cache.values()
+                  for cf in img.values()]
+        assert len({id(cf) for cf in values}) == len(set(values))
+        syms = [sym for sym, _mono, _top in module._cache]
+        assert len({id(s) for s in syms}) == len(set(syms))
+
+    def test_returned_vectors_are_fresh(self, module):
+        for v in [module.top_vector()] + self.mixed_vectors(module):
+            for m in self.MODES:
+                got = sugawara_mode(module, m, v)
+                want = dict(got)
+                got.clear()
+                got[((), module.tops[0])] = Q(99)
+                assert sugawara_mode(module, m, v) == want
+
+
+class TestSugawaraCriticalLevel:
+    """sugawara_mode checks the level on every call, before the memo."""
+
+    @pytest.mark.parametrize("critical", [
+        dict(c_g=Q(1), c_sl=Q(1), c_hei=Q(0), c_vh=Q(0), c_vir=Q(1)),
+        dict(c_g=Q(-2), c_sl=Q(1), c_hei=Q(1), c_vh=Q(0), c_vir=Q(1)),
+    ], ids=["c_hei_zero", "c_g_minus_h_vee"])
+    def test_raises_on_every_call(self, fd2, sl2, critical):
+        V = build_module(sl2, "trivial")
+        W = build_gl_module(2, "trivial", id_scalar=Q(0))
+        mod = FModule(fd2, CentralCharacter(**critical), V, W,
+                      h_hei=Q(0), h_vir=Q(0))
+        for _ in range(2):
+            with pytest.raises(CriticalLevelError):
+                sugawara_mode(mod, 1, mod.top_vector())
+        assert mod._sugawara_cache == {}
+
+    def test_warm_memo_does_not_skip_the_check(self, fd2, gamma2, sl2):
+        V = build_module(sl2, "trivial")
+        W = build_gl_module(2, "trivial", id_scalar=Q(0))
+        mod = FModule(fd2, gamma2, V, W, h_hei=Q(0), h_vir=Q(0))
+        sugawara_mode(mod, 1, mod.top_vector())
+        mod.gamma["c_hei"] = Q(0)
+        with pytest.raises(CriticalLevelError):
+            sugawara_mode(mod, 1, mod.top_vector())
