@@ -16,9 +16,9 @@ from .finite_lie_data import (FiniteModule, GLModule, ReductiveF,
                               SimpleAlgebra, ValidationError, build_gl_module,
                               build_module, build_sl, casimir_eigenvalue,
                               simple_algebra)
-from .lattice_fock import (FieldHandle, HypLattice, exp_field, exp_vertex_mode,
-                           field_mode, heis_act, hyp_virasoro_mode, osc_field,
-                           state_mode, vacuum_vector, voa_axiom_check)
+from .lattice_fock import (HypLattice, exp_vertex_mode, field_mode, heis_act,
+                           hyp_virasoro_mode, state_mode, vacuum_vector,
+                           voa_axiom_check)
 from .toroidal_realization import (RealizationModule, field_commutator_window_check,
                                    relation_check, top_action_check)
 from .virasoro_affine import (CentralCharacter, CriticalLevelError, FModule,

@@ -50,19 +50,6 @@ class QSeries:
             return QSeries(out, n)
         return QSeries([other * x for x in self.coeffs], self.max_depth)
 
-    def inverse(self):
-        if self.coeffs[0] == 0:
-            raise ZeroDivisionError("series has no inverse")
-        inv0 = Q(1) / self.coeffs[0]
-        out = [inv0] + [Q(0)] * self.max_depth
-        for n in range(1, self.max_depth + 1):
-            s = Q(0)
-            for k in range(1, n + 1):
-                if self.coeffs[k]:
-                    s += self.coeffs[k] * out[n - k]
-            out[n] = -inv0 * s
-        return QSeries(out, self.max_depth)
-
     def __eq__(self, other):
         return (self.max_depth == other.max_depth
                 and self.coeffs == other.coeffs)

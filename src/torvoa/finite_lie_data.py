@@ -199,9 +199,6 @@ class FiniteModule:
     mats: tuple                      # matrices in the algebra's basis order
     weight: Optional[tuple] = None   # highest weight in epsilon coordinates
 
-    def action(self, i):
-        return self.mats[i]
-
 
 def _check_respects_brackets(alg: SimpleAlgebra, mats):
     for i in range(alg.dim):
@@ -310,9 +307,6 @@ class GLModule:
 
         Indices a, b are 1-based.  Zero matrix for N = 1.
         """
-        if self.N == 1:
-            return _freeze(mat_zero(self.dim))
-        sl = build_sl(self.N)
         m = mat_zero(self.N)
         m[a - 1][b - 1] = Q(1)
         if a == b:
@@ -457,15 +451,11 @@ class ReductiveF:
         if which == "sl":
             if self.N < 2:
                 return []
-            combos = []
-            # sl_N basis inside gl_N, in build_sl(N) order: E_ab (a != b), then H_k
-            for a in range(1, self.N + 1):
-                for b in range(1, self.N + 1):
-                    if a != b:
-                        combos.append({self.e_index(a, b): Q(1)})
-            for k in range(1, self.N):
-                combos.append({self.e_index(k, k): Q(1),
-                               self.e_index(k + 1, k + 1): Q(-1)})
+            # each sl_N basis matrix as a combo over the E_ab inside gl_N
+            combos = [{self.e_index(a + 1, b + 1): x
+                       for a, row in enumerate(mat)
+                       for b, x in enumerate(row) if x}
+                      for mat in self.sl.matrices]
             ginv = self.sl.gram_inverse()
             for i in range(self.sl.dim):
                 for j in range(self.sl.dim):

@@ -375,6 +375,14 @@ def commutator_rhs(params, akind, r, bkind, m):
     mu, nu, N = params.mu, params.nu, params.N
     a, b = akind[0], bkind[0]
     terms = []
+
+    def central(coef, n, dv):
+        # coef r_p k_p at (n, dv) and coef k_0 with one more delta derivative
+        for p in range(1, N + 1):
+            if r[p - 1]:
+                terms.append((coef * r[p - 1], ("k", p), n, dv))
+        terms.append((coef, ("k0",), n + 1, dv))
+
     center = ("k0", "k")
     if (a in center and b in center) or \
             (a == "g" and b in center) or (a in center and b == "g"):
@@ -385,10 +393,7 @@ def commutator_rhs(params, akind, r, bkind, m):
             terms.append((Q(cf), ("g", k), 0, 0))
         pairing = params.g_dot.pair(g1, g2)
         if pairing:
-            terms.append((pairing, ("k0",), 1, 0))
-            for p in range(1, N + 1):
-                if r[p - 1]:
-                    terms.append((pairing * r[p - 1], ("k", p), 0, 0))
+            central(pairing, 0, 0)
         return terms
     if a == "dt" and b == "g":
         i = akind[1]
@@ -410,10 +415,7 @@ def commutator_rhs(params, akind, r, bkind, m):
             terms.append((-rj, ("dt", i), 0, 0))
         w = mu * mi * rj + nu * ri * mj
         if w:
-            for p in range(1, N + 1):
-                if r[p - 1]:
-                    terms.append((-w * r[p - 1], ("k", p), 0, 0))
-            terms.append((-w, ("k0",), 1, 0))
+            central(-w, 0, 0)
         return terms
     if a == "dt0" and b == "dt":
         jd = bkind[1]
@@ -423,29 +425,18 @@ def commutator_rhs(params, akind, r, bkind, m):
         if rj:
             terms.append((-rj, ("dt0",), 0, 0))
         if nu and mj:
-            for p in range(1, N + 1):
-                if r[p - 1]:
-                    terms.append((nu * mj * r[p - 1], ("k", p), 1, 0))
-            terms.append((nu * mj, ("k0",), 2, 0))
+            central(nu * mj, 1, 0)
         if mu and rj:
-            for p in range(1, N + 1):
-                if r[p - 1]:
-                    terms.append((-mu * rj * r[p - 1], ("k", p), 0, 1))
-                    terms.append((-mu * rj * r[p - 1], ("k", p), 1, 0))
-            terms.append((-mu * rj, ("k0",), 1, 1))
-            terms.append((-mu * rj, ("k0",), 2, 0))
+            central(-mu * rj, 0, 1)
+            central(-mu * rj, 1, 0)
         return terms
     if a == "dt0" and b == "dt0":
         terms.append((Q(1), ("dt0",), 0, 1))
         terms.append((Q(2), ("dt0",), 1, 0))
         w = mu + nu
         if w:
-            for p in range(1, N + 1):
-                if r[p - 1]:
-                    terms.append((w * r[p - 1], ("k", p), 1, 1))
-                    terms.append((w * r[p - 1], ("k", p), 2, 0))
-            terms.append((w, ("k0",), 2, 1))
-            terms.append((w, ("k0",), 3, 0))
+            central(w, 1, 1)
+            central(w, 2, 0)
         return terms
     raise ConfigError(f"no displayed identity for pair ({a}, {b})")
 

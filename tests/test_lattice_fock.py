@@ -3,12 +3,12 @@ from fractions import Fraction as Q
 
 import pytest
 
-from torvoa import (HypLattice, exp_vertex_mode, field_mode, heis_act,
-                    hyp_virasoro_mode, osc_field, state_mode, vacuum_vector,
-                    voa_axiom_check)
-from torvoa.lattice_fock import (FieldHandle, _insert_osc, coset_point,
-                                 heis_act_gen, random_state, state_degree,
-                                 translate)
+from torvoa import (HypLattice, RealizationModule, exp_vertex_mode,
+                    field_mode, heis_act, hyp_virasoro_mode, state_mode,
+                    vacuum_vector, voa_axiom_check)
+from torvoa.lattice_fock import (_exp_term, _insert_osc, _term_apply,
+                                 coset_point, heis_act_gen, random_state,
+                                 state_degree, translate)
 from torvoa.linalg import vec_add
 
 
@@ -115,7 +115,6 @@ class TestExponentials:
     def test_derivative_identity(self, lat1):
         # d/dz Y(e^y, z) = :y(z) Y(e^y, z):  checked coefficient-wise
         y = (2, 0)
-        fh = FieldHandle((("osc", 0, 0),), (Q(2), Q(0)))
         rng = random.Random(8)
         for _ in range(12):
             vec = osc_vec(lat1, [(rng.randrange(2), -rng.randint(1, 2))],
@@ -124,18 +123,38 @@ class TestExponentials:
                 lhs = {k: (e + 1) * cf
                        for k, cf in exp_vertex_mode(lat1, y, e + 1, vec).items()
                        if (e + 1) * cf}
-                rhs = {k: 2 * cf for k, cf in field_mode(lat1, fh, e, vec).items()}
+                rhs = {k: 2 * cf for k, cf in field_mode(
+                    lat1, (("osc", 0, 0),), y, e, vec).items()}
                 # :y(z)Y(e^y,z): with y = 2 u_1 is 2 * :u_1(z) Y:, and the
-                # field handle above tracks u_1; scale accordingly
+                # oscillator factor above tracks u_1; scale accordingly
                 assert lhs == {k: v for k, v in rhs.items() if v}
+
+
+class TestMemo:
+    def test_each_exponential_stored_once(self, params_n1):
+        # a fresh module, so its lattice memo tables start cold
+        module = RealizationModule(params_n1)
+        assert module.commutator_sweep(random.Random(7), 4, 2, 1, 2) == 4
+        L = module.lat
+        assert L._exp_cache and L._field_cache
+        # the empty chain is the exponential or the identity: never a
+        # _field_cache entry
+        assert all(factors for factors, *_rest in L._field_cache)
+        sizes = len(L._exp_cache), len(L._field_cache)
+        for (y, e, osc, lat), hit in L._exp_cache.items():
+            assert _exp_term(L, y, e, osc, lat) is hit
+            assert _term_apply(L, (), y, osc, lat, e) is hit
+            assert _term_apply(L, (), None, osc, lat, Q(0)) \
+                == {(osc, lat): Q(1)}
+        assert (len(L._exp_cache), len(L._field_cache)) == sizes
 
 
 class TestFieldModes:
     def test_matches_oscillator(self, lat1):
         v = osc_vec(lat1, [(1, -1)], beta=(1,))
-        fh = osc_field(0)
         for e in range(-3, 3):
-            assert field_mode(lat1, fh, e, v) == heis_act(lat1, 0, -e - 1, v)
+            assert field_mode(lat1, (("osc", 0, 0),), None, e, v) \
+                == heis_act(lat1, 0, -e - 1, v)
 
     @staticmethod
     def _virasoro_reference(L, m, vec):
@@ -278,3 +297,29 @@ class TestAxioms:
             a, b, c = (random_state(lat1, rng, 2), random_state(lat1, rng, 2),
                        random_state(lat1, rng, 2))
             assert voa_axiom_check(lat1, a, b, c, window=2) == []
+
+    def test_negative_norm_states(self, lat1):
+        # e^{u-v} and e^{2u-v} have negative norm, so conformal weight is no
+        # cut-off for the identities' sums
+        euv = vacuum_vector(lat1, m=(1,), beta=(-1,))
+        e2uv = vacuum_vector(lat1, m=(2,), beta=(-1,))
+        eu = vacuum_vector(lat1, m=(1,))
+        ev = vacuum_vector(lat1, beta=(1,))
+        ones = vacuum_vector(lat1)
+        for a, b, c in ((euv, euv, ones), (e2uv, ev, eu)):
+            assert voa_axiom_check(lat1, a, b, c, window=3) == []
+
+    def test_unsigned_lattice_fails_outside_borcherds_window(self):
+        # without the sign cocycle Y(e^u, z) and Y(e^v, z) are not local;
+        # the commutator formula fails at m = -3, which lies in the
+        # commutator window but outside the Borcherds window
+        class Unsigned(HypLattice):
+            def epsilon(self, x, y):
+                return 1
+
+        lat = Unsigned(1)
+        eu = vacuum_vector(lat, m=(1,))
+        ev = vacuum_vector(lat, beta=(1,))
+        failures = voa_axiom_check(lat, eu, ev, vacuum_vector(lat), window=3,
+                                   borcherds_window=2)
+        assert [f for f in failures if f[:2] == ("commutator", -3)]

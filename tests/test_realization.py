@@ -382,7 +382,7 @@ class TestTensorSplit:
 
     @pytest.mark.parametrize("fixture", ["module_n1", "module_n2_natural"])
     def test_matches_fock_product_times_f_mode(self, fixture, request):
-        from torvoa.lattice_fock import FieldHandle, field_mode
+        from torvoa.lattice_fock import field_mode
         M = request.getfixturevalue(fixture)
         for chain, fock, f_field, weight in self._chains(M):
             y = chain[-1][1]
@@ -398,8 +398,8 @@ class TestTensorSplit:
                         lo = -f_depth - weight - 2
                         hi = floor(e - fock_min) + 2
                         for e2 in range(lo, hi + 1):
-                            fpart = field_mode(M.lat, FieldHandle(fock, y),
-                                               e - e2, {(osc, lat): Q(1)})
+                            fpart = field_mode(M.lat, fock, y, e - e2,
+                                               {(osc, lat): Q(1)})
                             mpart = f_field(e2, {(mono, top): Q(1)})
                             for fk, c1 in fpart.items():
                                 for fkey, c2 in mpart.items():
