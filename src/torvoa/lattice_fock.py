@@ -3,7 +3,10 @@ exponential vertex operators, and exact normally ordered field modes.
 
 Lattice vectors are tuples of 2N rationals: the first N coordinates are
 along the isotropic generators u_1..u_N, the last N along v_1..v_N, with
-(u_i|v_j) = delta_ij and (u|u) = (v|v) = 0.  A Fock vector is a dict
+(u_i|v_j) = delta_ij and (u|u) = (v|v) = 0.  In a key, an integral
+coordinate or z-exponent is an int and only a non-integral one a Fraction
+(``_canon``); both forms are equal and hash-equal, so callers may pass
+either.  Coefficients are always Fractions.  A Fock vector is a dict
 {(osc, lat): coefficient} where osc is a sorted tuple of (generator, mode)
 pairs with negative modes, and lat is the lattice point of the coset
 e^{(alpha+m)u + beta v}.
@@ -27,6 +30,19 @@ from math import ceil, factorial
 from .linalg import add_into, merge, vec_eq
 
 Q = Fraction
+
+
+def _canon(x):
+    """The key form of a rational coordinate or exponent: an int when x is
+    integral, else a Fraction."""
+    if type(x) is int:
+        return x
+    x = Q(x)
+    return x.numerator if x.denominator == 1 else x
+
+
+def _canon_vec(v):
+    return tuple(map(_canon, v))
 
 
 def falling(a, k):
@@ -54,7 +70,7 @@ class HypLattice:
 
     def gen(self, g):
         """Coordinate vector of the g-th generator (0..N-1 are u, N..2N-1 are v)."""
-        return tuple(Q(1) if i == g else Q(0) for i in range(2 * self.N))
+        return tuple(1 if i == g else 0 for i in range(2 * self.N))
 
     def form(self, x, y):
         N = self.N
@@ -65,9 +81,7 @@ class HypLattice:
         extended bimultiplicatively.  Arguments need integer coordinates on
         the contributing directions."""
         N = self.N
-        expo = Q(0)
-        for p in range(N):
-            expo += x[N + p] * y[p]
+        expo = sum(x[N + p] * y[p] for p in range(N))
         if expo.denominator != 1:
             raise ValueError("sign cocycle undefined on non-integral overlap")
         return -1 if int(expo) % 2 else 1
@@ -78,7 +92,8 @@ def coset_point(L: HypLattice, alpha, m=None, beta=None):
     N = L.N
     m = (0,) * N if m is None else m
     beta = (0,) * N if beta is None else beta
-    return tuple(Q(alpha[p]) + Q(m[p]) for p in range(N)) + tuple(Q(b) for b in beta)
+    return (_canon_vec(Q(alpha[p]) + Q(m[p]) for p in range(N))
+            + _canon_vec(beta))
 
 
 def vacuum_vector(L: HypLattice, alpha=None, m=None, beta=None):
@@ -173,7 +188,7 @@ def _creation_terms(ycomps, ec):
             return
         g, comp, j = parts[i]
         count = 0
-        unit = comp / j
+        unit = Q(comp, j)
         c = coeff
         while True:
             yield from rec(i + 1, left - count * j, c, acc + [(g, -j)] * count)
@@ -195,12 +210,14 @@ def _exp_term(L: HypLattice, y, e, osc, lat):
     if hit is not None:
         return hit
     xi = L.form(y, lat)
-    k = Q(e) - xi
+    k = e - xi
     out = {}
     if k.denominator == 1:
         sign = Q(L.epsilon(y, lat))
-        new_lat = tuple(a + b for a, b in zip(lat, y))
-        pairables = [(pos, L.form(y, L.gen(osc[pos][0]))) for pos in range(len(osc))]
+        new_lat = _canon_vec(a + b for a, b in zip(lat, y))
+        N = L.N
+        pairables = [(pos, y[g + N] if g < N else y[g - N])
+                     for pos, (g, _mode) in enumerate(osc)]
         pairables = [(pos, pr) for pos, pr in pairables if pr != 0]
         ycomps = [(g, comp) for g, comp in enumerate(y) if comp]
 
@@ -262,7 +279,7 @@ def _factor_at(L, factor, e, vec):
 
 
 def _term_min_exponent(L, factors, expy, osc, lat):
-    xi = L.form(expy, lat) if expy is not None else Q(0)
+    xi = L.form(expy, lat) if expy is not None else 0
     return xi - fock_depth(osc) - sum(1 + f[2] for f in factors)
 
 
@@ -288,7 +305,7 @@ def _term_apply(L, factors, expy, osc, lat, e):
             add_into(out, _term_apply(L, rest, expy, osc2, lat2, e - e1), cf)
     lo = _term_min_exponent(L, rest, expy, osc, lat)
     e1 = 0
-    while Q(e) - e1 >= lo:
+    while e - e1 >= lo:
         inner = _term_apply(L, rest, expy, osc, lat, e - e1)
         if inner:
             add_into(out, _factor_at(L, F, e1, inner))
@@ -302,11 +319,12 @@ def field_mode(L: HypLattice, factors, expy, exponent, vec):
     Fock vector.  Each factor ('osc', g, nd) is the nd-th derivative of the
     g-th oscillator field over nd!; expy None means no exponential."""
     if expy is not None:
-        expy = tuple(Q(t) for t in expy)
+        expy = _canon_vec(expy)
     out = {}
-    e = Q(exponent)
+    e = _canon(exponent)
     for (osc, lat), cf in vec.items():
-        add_into(out, _term_apply(L, factors, expy, osc, lat, e), cf)
+        add_into(out, _term_apply(L, factors, expy, osc, _canon_vec(lat), e),
+                 cf)
     return out
 
 

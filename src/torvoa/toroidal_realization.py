@@ -33,9 +33,9 @@ from .algebra_core import (BasisSymbol, ConfigError, Params, ToroidalElement,
 from .finite_lie_data import (FiniteModule, GLModule, ReductiveF,
                               build_gl_module, build_module, casimir_eigenvalue)
 # perfbench/tracer.py wraps _exp_term, heis_act_gen and hyp_virasoro_mode here
-from .lattice_fock import (HypLattice, _exp_term, _insert_osc, coset_point,
-                           falling, fock_depth, heis_act_gen,
-                           hyp_virasoro_mode, random_osc)
+from .lattice_fock import (HypLattice, _canon, _canon_vec, _exp_term,
+                           _insert_osc, coset_point, falling, fock_depth,
+                           heis_act_gen, hyp_virasoro_mode, random_osc)
 from .linalg import add_into, merge, vec_add, vec_eq, vec_scale
 from .virasoro_affine import (CentralCharacter, FModule, mode_of,
                               sugawara_constants)
@@ -145,7 +145,7 @@ class RealizationModule:
 
     def _exp_vec(self, r):
         N = self.params.N
-        return tuple(Q(x) for x in r) + tuple(Q(0) for _ in range(N))
+        return _canon_vec(r) + (0,) * N
 
     def realize_plan(self, sym: BasisSymbol):
         """Composite operator description: list of (coeff, factors, exponent).
@@ -259,9 +259,10 @@ class RealizationModule:
 
     def _apply_ordered(self, factors, e, vec):
         out = {}
-        ee = Q(e)
-        for (fk, fkey), cf in vec.items():
-            add_into(out, self._term_ordered(factors, ee, fk, fkey), cf)
+        e = _canon(e)
+        for ((osc, lat), fkey), cf in vec.items():
+            add_into(out, self._term_ordered(factors, e, (osc, _canon_vec(lat)),
+                                             fkey), cf)
         return out
 
     # -- the action ------------------------------------------------------------

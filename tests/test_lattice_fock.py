@@ -3,12 +3,14 @@ from fractions import Fraction as Q
 
 import pytest
 
-from torvoa import (HypLattice, RealizationModule, exp_vertex_mode,
-                    field_mode, heis_act, hyp_virasoro_mode, state_mode,
-                    vacuum_vector, voa_axiom_check)
+from torvoa import (HypLattice, RealizationModule, build_gl_module,
+                    build_module, exp_vertex_mode, field_mode, heis_act,
+                    hyp_virasoro_mode, state_mode, vacuum_vector,
+                    voa_axiom_check)
+from torvoa.algebra_core import random_symbol
 from torvoa.lattice_fock import (_exp_term, _insert_osc, _term_apply,
                                  coset_point, heis_act_gen, random_state,
-                                 state_degree, translate)
+                                 random_triples, state_degree, translate)
 from torvoa.linalg import vec_add
 
 
@@ -147,6 +149,112 @@ class TestMemo:
             assert _term_apply(L, (), None, osc, lat, Q(0)) \
                 == {(osc, lat): Q(1)}
         assert (len(L._exp_cache), len(L._field_cache)) == sizes
+
+
+def _key_form(x):
+    """An integral rational as an int, any other as a Fraction."""
+    return type(x) is int or (type(x) is Q and x.denominator != 1)
+
+
+def _check_fock(vec):
+    for (_osc, lat), cf in vec.items():
+        assert all(map(_key_form, lat)), lat
+        assert type(cf) is Q, cf
+
+
+def _check_realization(vec):
+    for (fk, _fkey), cf in vec.items():
+        _check_fock({fk: cf})
+
+
+def _fraction_keyed(vec):
+    """The same Fock vector with every lattice coordinate a Fraction."""
+    return {(osc, tuple(map(Q, lat))): cf for (osc, lat), cf in vec.items()}
+
+
+class TestKeyForm:
+    """In every memo key an integral lattice coordinate, exponential vector
+    component or z-exponent is an int; coefficients are Fractions."""
+
+    @staticmethod
+    def _check_lattice_memo(L):
+        assert L._exp_cache and L._field_cache
+        for (y, e, _osc, lat), out in L._exp_cache.items():
+            assert all(map(_key_form, y + lat + (e,))), (y, e, lat)
+            _check_fock(out)
+        for (_factors, expy, _osc, lat, e), out in L._field_cache.items():
+            assert all(map(_key_form, (expy or ()) + lat + (e,))), \
+                (expy, e, lat)
+            _check_fock(out)
+
+    @classmethod
+    def _check_realization_memo(cls, module):
+        cls._check_lattice_memo(module.lat)
+        assert module._term_cache
+        for (factors, e, (_osc, lat), _fkey), out in \
+                module._term_cache.items():
+            ys = sum((f[1] for f in factors if f[0] == "exp"), ())
+            assert all(map(_key_form, ys + lat + (e,))), (ys, e, lat)
+            _check_realization(out)
+
+    def test_memo_keys_after_sweeps(self, params_n2, sl2):
+        natural = RealizationModule(params_n2, alpha=(Q(1, 2), 0),
+                                    V=build_module(sl2, "natural"),
+                                    W=build_gl_module(2, "natural"), d=0)
+        for seed, module in enumerate((RealizationModule(params_n2), natural)):
+            rng = random.Random(seed)
+            _check_realization(module.top_vector())
+            _check_realization(module.random_vector(random.Random(seed)))
+            assert module.commutator_sweep(rng, 4, 2, 1, 2) == 4
+            self._check_realization_memo(module)
+        L = HypLattice(1)
+        triple = random_triples(L, random.Random(11), 1, 2)[0]
+        for state in triple:
+            _check_fock(state)
+        assert voa_axiom_check(L, *triple, window=2, borcherds_window=1) == []
+        self._check_lattice_memo(L)
+
+    @pytest.mark.parametrize("alpha", [Q(0), Q(1, 2), Q(1, 3)])
+    def test_fraction_keyed_inputs(self, alpha, params_n2):
+        # callers may key by Fractions, as the benchmark's voa workload
+        # does; results equal the int-keyed ones, and results and memo
+        # keys come out in key form
+        lat_frac, lat_int = HypLattice(1), HypLattice(1)
+        state = osc_vec(lat_int, [(0, -1), (1, -2)], m=(1,))
+        vec = osc_vec(lat_int, [(0, -1), (1, -1)], alpha=(alpha,), m=(1,),
+                      beta=(-1,))
+        seen = 0
+        for n in range(-3, 3):
+            got = state_mode(lat_frac, _fraction_keyed(state), n,
+                             _fraction_keyed(vec))
+            assert got == state_mode(lat_int, state, n, vec)
+            _check_fock(got)
+            # at alpha = 1/2 a half-integral y lands on integral points
+            for y in ((2, 0), (Q(1, 2), 0)):
+                e = lat_int.form(y, next(iter(vec))[1]) + n
+                got = exp_vertex_mode(lat_frac, tuple(map(Q, y)), Q(e),
+                                      _fraction_keyed(vec))
+                assert got == exp_vertex_mode(lat_int, y, e, vec)
+                _check_fock(got)
+                seen += bool(got)
+        assert seen
+        self._check_lattice_memo(lat_frac)
+
+        frac, whole = (RealizationModule(params_n2, alpha=(alpha, 0))
+                       for _ in range(2))
+        rng = random.Random(8)
+        for _ in range(4):
+            sym = random_symbol(params_n2, rng, jmax=2, rmax=1,
+                                tags=("g", "k", "d", "dt"))
+            v = whole.random_vector(rng)
+            v_frac = {((osc, tuple(map(Q, lat))), fkey): cf
+                      for ((osc, lat), fkey), cf in v.items()}
+            got = frac.g_act(sym, v_frac)
+            assert got == whole.g_act(sym, v)
+            _check_realization(got)
+            seen += bool(got)
+        assert seen > 1
+        self._check_realization_memo(frac)
 
 
 class TestFieldModes:

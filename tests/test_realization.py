@@ -185,6 +185,24 @@ class TestCommutators:
         rng = random.Random(5150)
         assert module.commutator_sweep(rng, 25, 2, 1, 2) == 25
 
+    @pytest.mark.parametrize("N, g_dot, V, W, alpha", [
+        (3, "A1", "trivial", "trivial", None),
+        (1, "A1", "adjoint", "trivial", None),
+        (2, "A2", "natural", "natural", (Q(1, 3), 0)),
+        (1, "A3", "natural", "trivial", None),
+    ])
+    def test_parameter_family(self, N, g_dot, V, W, alpha):
+        # other ranks, coefficient algebras, tops and a coset that is not
+        # half-integral, at mu = 2/7, nu = -1/4, c = 3/2
+        from torvoa import (Params, build_gl_module, build_module,
+                            simple_algebra)
+        alg = simple_algebra(g_dot)
+        params = Params(N=N, mu=Q(2, 7), nu=Q(-1, 4), c=Q(3, 2), g_dot=alg)
+        module = RealizationModule(params, alpha=alpha,
+                                   V=build_module(alg, V),
+                                   W=build_gl_module(N, W))
+        assert module.commutator_sweep(random.Random(1), 10, 2, 1, 2) == 10
+
 
 class TestDisplayedIdentities:
     @pytest.mark.parametrize("fixture", ["params_n1", "params_n2"])
