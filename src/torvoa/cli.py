@@ -395,8 +395,9 @@ COMMANDS = {"verify-jacobi": verify_jacobi, "verify-fields": verify_fields,
 def run(spec: SpecFile) -> dict:
     """Execute the file's command and return the report dictionary.
 
-    Module-level failures (critical levels, validation, resource bounds) are
-    recorded as failing checks; the report is still emitted.
+    Module-level failures (critical levels, validation, resource bounds,
+    running out of memory) are recorded as failing checks; the report is
+    still emitted.
     """
     params, module = build_context(spec)
     command = spec.task["command"]
@@ -423,9 +424,12 @@ def run(spec: SpecFile) -> dict:
         report["checks"], report["tables"] = COMMANDS[command](
             module, random.Random(seed), task)
     except (CriticalLevelError, ValidationError, ResourceLimitError,
-            ConfigError) as exc:
+            ConfigError, MemoryError) as exc:
+        # str(MemoryError()) is empty
+        details = ("ran out of memory" if isinstance(exc, MemoryError)
+                   else str(exc))
         report["checks"].append({"id": f"{command}:error", "status": "fail",
-                                 "details": str(exc)})
+                                 "details": details})
     return report
 
 

@@ -18,6 +18,11 @@ Virasoro fields of the second tensor factor.  The plans implement
                                                           at z^{-j-2}
 
 and the plain vector fields through the invertible shift to the dt basis.
+
+Every check in the module yields (label, got, want, data) cases into
+``_tally``, the one place that counts a check and records a failure: it
+returns (checked, failures), where each failure is the (label, data) of a
+case whose two vectors differ, and data names the failing witness.
 """
 
 from __future__ import annotations
@@ -284,11 +289,15 @@ class RealizationModule:
             return out
         raise ConfigError("g_act expects a basis symbol or an element")
 
-    def verify_commutator(self, a: BasisSymbol, b: BasisSymbol, vec) -> bool:
+    def _commutator_sides(self, a: BasisSymbol, b: BasisSymbol, vec):
+        """([a, b] v, a (b v) - b (a v))."""
         lhs = self.g_act(bracket_symbols(self.params, a, b), vec)
         rhs = vec_add(self.g_act_symbol(a, self.g_act_symbol(b, vec)),
                       self.g_act_symbol(b, self.g_act_symbol(a, vec)), Q(-1))
-        return vec_eq(lhs, rhs)
+        return lhs, rhs
+
+    def verify_commutator(self, a: BasisSymbol, b: BasisSymbol, vec) -> bool:
+        return vec_eq(*self._commutator_sides(a, b, vec))
 
     def commutator_sweep(self, rng: random.Random, count, jmax, rmax,
                          max_depth):
@@ -296,13 +305,18 @@ class RealizationModule:
         algebra and a basis vector of depth <= max_depth; return how many
         satisfy [a, b] v = a (b v) - b (a v)."""
         tags = ("g", "k", "d", "dt")
-        good = 0
-        for _ in range(count):
-            a = random_symbol(self.params, rng, jmax=jmax, rmax=rmax, tags=tags)
-            b = random_symbol(self.params, rng, jmax=jmax, rmax=rmax, tags=tags)
-            v = self.random_vector(rng, max_depth=max_depth)
-            good += self.verify_commutator(a, b, v)
-        return good
+
+        def cases():
+            for _ in range(count):
+                a = random_symbol(self.params, rng, jmax=jmax, rmax=rmax,
+                                  tags=tags)
+                b = random_symbol(self.params, rng, jmax=jmax, rmax=rmax,
+                                  tags=tags)
+                v = self.random_vector(rng, max_depth=max_depth)
+                yield ("commutator", *self._commutator_sides(a, b, v),
+                       (a, b, v))
+        checked, failures = _tally(cases())
+        return checked - len(failures)
 
     def weight_of(self, vec):
         """Exact (d_0, d_1, .., d_N) eigenvalues; raises on non-eigenvectors."""
@@ -346,6 +360,17 @@ class RealizationModule:
         m = tuple(rng.randint(-1, 1) for _ in range(self.params.N))
         fk = (osc, self.lattice_point(m))
         return {(fk, (mono, top)): Q(1)}
+
+
+def _tally(cases):
+    """Count (label, got, want, data) cases; return (checked, failures),
+    each failure the (label, data) of a case with got != want."""
+    checked, failures = 0, []
+    for label, got, want, data in cases:
+        checked += 1
+        if not vec_eq(got, want):
+            failures.append((label, data))
+    return checked, failures
 
 
 # ---------------------------------------------------------------------------
@@ -501,7 +526,8 @@ def field_commutator_window_check(module: RealizationModule, window=3,
     """Check the displayed field commutators mode by mode on sample vectors,
     by default for every pair of multi-indices r, m in {-1, 0, 1}^N.
 
-    Returns (checked, failures); failures list (name, r, m, i, jj).
+    Returns (checked, failures) from ``_tally``; a failure's data is the
+    two mode symbols and the vector.
     """
     params = module.params
     vectors = vectors if vectors is not None else module.sample_vectors(1)
@@ -512,27 +538,24 @@ def field_commutator_window_check(module: RealizationModule, window=3,
         box = _index_box(params.N, 1)
         rm_samples = [(r, m) for r in box for m in box]
     modes = range(-window, window + 1)
-    failures = []
-    checked = 0
-    for name, akind, bkind in pairs:
-        for (r, m) in rm_samples:
-            for vec in vectors:
-                a_imgs = {i: module.g_act_symbol(field_symbol(params, akind, i, r), vec)
-                          for i in modes}
-                b_imgs = {jj: module.g_act_symbol(field_symbol(params, bkind, jj, m), vec)
-                          for jj in modes}
-                for i in modes:
-                    asym = field_symbol(params, akind, i, r)
-                    for jj in modes:
-                        bsym = field_symbol(params, bkind, jj, m)
-                        lhs = vec_add(module.g_act_symbol(asym, b_imgs[jj]),
-                                      module.g_act_symbol(bsym, a_imgs[i]), Q(-1))
-                        rhs = module.g_act(
-                            rhs_mode_element(params, akind, r, bkind, m, i, jj), vec)
-                        checked += 1
-                        if not vec_eq(lhs, rhs):
-                            failures.append((name, r, m, i, jj))
-    return checked, failures
+
+    def cases():
+        for name, akind, bkind in pairs:
+            for (r, m) in rm_samples:
+                asyms = {i: field_symbol(params, akind, i, r) for i in modes}
+                bsyms = {jj: field_symbol(params, bkind, jj, m) for jj in modes}
+                for vec in vectors:
+                    a_imgs = {i: module.g_act_symbol(asyms[i], vec) for i in modes}
+                    b_imgs = {jj: module.g_act_symbol(bsyms[jj], vec) for jj in modes}
+                    for i in modes:
+                        for jj in modes:
+                            lhs = vec_add(
+                                module.g_act_symbol(asyms[i], b_imgs[jj]),
+                                module.g_act_symbol(bsyms[jj], a_imgs[i]), Q(-1))
+                            rhs = module.g_act(rhs_mode_element(
+                                params, akind, r, bkind, m, i, jj), vec)
+                            yield name, lhs, rhs, (asyms[i], bsyms[jj], vec)
+    return _tally(cases())
 
 
 # ---------------------------------------------------------------------------
@@ -542,38 +565,31 @@ def field_commutator_window_check(module: RealizationModule, window=3,
 def top_action_check(module: RealizationModule, window=2, m_window=1):
     """Degree-zero generators on the top: shift and tensor-action formulas.
 
-    Returns (checked, failures).
+    Returns (checked, failures) from ``_tally``.
     """
+    return _tally(_top_action_cases(module, window, m_window))
+
+
+def _top_action_cases(module, window, m_window):
     p = module.params
     N = p.N
     c = p.c
     box = _index_box(N, window)
     mbox = _index_box(N, m_window)
-    failures = []
-    checked = 0
     tops = [(iv, iw) for iv in range(module.V.dim) for iw in range(module.W.dim)]
-
-    def record(label, got, want, data):
-        nonlocal checked
-        checked += 1
-        if not vec_eq(got, want):
-            failures.append((label, data))
-
     for r in box:
         for m in mbox:
             mr = tuple(x + y for x, y in zip(m, r))
             for (iv, iw) in tops:
                 vec = module.top_vector(m, iv, iw)
                 shift = module.top_vector(mr, iv, iw)
-                record("k0-shift",
-                       module.g_act_symbol(k_sym(p, 0, r, 0), vec),
+                yield ("k0-shift", module.g_act_symbol(k_sym(p, 0, r, 0), vec),
                        vec_scale(shift, c), (r, m, iv, iw))
                 for pp in range(1, N + 1):
-                    record("k-annihilate",
+                    yield ("k-annihilate",
                            module.g_act_symbol(k_sym(p, 0, r, pp), vec), {},
                            (pp, r, m, iv, iw))
-                record("d0-scalar",
-                       module.g_act_symbol(d_sym(p, 0, r, 0), vec),
+                yield ("d0-scalar", module.g_act_symbol(d_sym(p, 0, r, 0), vec),
                        vec_scale(shift, module.d), (r, m, iv, iw))
                 for gi in range(p.g_dot.dim):
                     got = module.g_act_symbol(g_sym(p, 0, r, gi), vec)
@@ -583,7 +599,7 @@ def top_action_check(module: RealizationModule, window=2, m_window=1):
                         if mat[iv2][iv]:
                             want = vec_add(want, module.top_vector(mr, iv2, iw),
                                            mat[iv2][iv])
-                    record("g-tensor", got, want, (gi, r, m, iv, iw))
+                    yield "g-tensor", got, want, (gi, r, m, iv, iw)
                 for jd in range(1, N + 1):
                     got = module.g_act_symbol(d_sym(p, 0, r, jd), vec)
                     want = vec_scale(module.top_vector(mr, iv, iw),
@@ -596,7 +612,7 @@ def top_action_check(module: RealizationModule, window=2, m_window=1):
                                     want = vec_add(
                                         want, module.top_vector(mr, iv, iw2),
                                         Q(r[pp - 1]) * mat[iw2][iw])
-                    record("d-tensor", got, want, (jd, r, m, iv, iw))
+                    yield "d-tensor", got, want, (jd, r, m, iv, iw)
 
     if module.is_standard_top():
         for r in box:
@@ -604,22 +620,21 @@ def top_action_check(module: RealizationModule, window=2, m_window=1):
                 vec = module.top_vector(m)
                 mr = tuple(x + y for x, y in zip(m, r))
                 shift = module.top_vector(mr)
-                record("top-k0", module.g_act_symbol(k_sym(p, 0, r, 0), vec),
+                yield ("top-k0", module.g_act_symbol(k_sym(p, 0, r, 0), vec),
                        vec_scale(shift, c), (r, m))
-                record("top-dt0", module.g_act_symbol(dt_sym(p, 0, r, 0), vec),
+                yield ("top-dt0", module.g_act_symbol(dt_sym(p, 0, r, 0), vec),
                        {}, (r, m))
-                record("top-d0", module.g_act_symbol(d_sym(p, 0, r, 0), vec),
+                yield ("top-d0", module.g_act_symbol(d_sym(p, 0, r, 0), vec),
                        vec_scale(shift, (p.mu + p.nu) * c / 2), (r, m))
                 for gi in range(p.g_dot.dim):
-                    record("top-g", module.g_act_symbol(g_sym(p, 0, r, gi), vec),
+                    yield ("top-g", module.g_act_symbol(g_sym(p, 0, r, gi), vec),
                            {}, (gi, r, m))
                 for jd in range(1, N + 1):
-                    record("top-dt", module.g_act_symbol(dt_sym(p, 0, r, jd), vec),
+                    yield ("top-dt", module.g_act_symbol(dt_sym(p, 0, r, jd), vec),
                            vec_scale(shift, Q(m[jd - 1])), (jd, r, m))
-                    record("top-d", module.g_act_symbol(d_sym(p, 0, r, jd), vec),
+                    yield ("top-d", module.g_act_symbol(d_sym(p, 0, r, jd), vec),
                            vec_scale(shift, Q(m[jd - 1]) + p.nu * c * r[jd - 1]),
                            (jd, r, m))
-    return checked, failures
 
 
 # ---------------------------------------------------------------------------
@@ -629,6 +644,12 @@ def top_action_check(module: RealizationModule, window=2, m_window=1):
 RELATION_IDS = ("current-pairing", "osc-pairing", "shifted-pairing",
                 "glcurrent-commute", "glcurrent-ope", "vir-lowering",
                 "vir-depth2")
+
+# the pairing relations probe depth-one states X_a(-1, r) q^(m-r): the
+# field X, and whether the state is independent of r
+_PAIRING_STATES = {"current-pairing": (g_sym, True),
+                   "osc-pairing": (k_sym, True),
+                   "shifted-pairing": (dt_sym, False)}
 
 
 def _small_r_samples(N):
@@ -645,132 +666,82 @@ def relation_check(module: RealizationModule, relation_id: str):
     The two vanishing statements 'vir-lowering' (first part) and 'vir-depth2'
     hold after the translation-null reduction and are checked on the vacuum
     companion; everything else runs on the module as given.
-    Returns (checked, failures).
+    Returns (checked, failures) from ``_tally``.
     """
     if relation_id not in RELATION_IDS:
         raise ConfigError(f"unknown relation id {relation_id!r}")
     if not module.is_standard_top():
         raise ConfigError("relation checks need the standard top")
+    return _tally(_relation_cases(module, relation_id))
+
+
+def _pairing_probes(p, relation_id, a, r, m, s):
+    """(label, Y(1, s), scalar) probes of the pairing relation's state
+    X_a(-1, r) q^(m-r): Y(1, s) takes it to scalar * q^(m+s)."""
+    c, mu, nu = p.c, p.mu, p.nu
+    space = range(1, p.N + 1)
+    if relation_id == "current-pairing":
+        return ([("k0-kill", k_sym(p, 1, s, 0), 0),
+                 ("dt0-kill", dt_sym(p, 1, s, 0), 0)]
+                + [("k-kill", k_sym(p, 1, s, b), 0) for b in space]
+                + [("dt-kill", dt_sym(p, 1, s, b), 0) for b in space]
+                + [("current-pairing", g_sym(p, 1, s, g2), p.g_dot.pair(g2, 0) * c)
+                   for g2 in range(p.g_dot.dim)])
+    if relation_id == "osc-pairing":
+        return ([("k0-kill", k_sym(p, 1, s, 0), 0),
+                 ("g-kill", g_sym(p, 1, s, 0), 0),
+                 ("dt0-kill", dt_sym(p, 1, s, 0), 0)]
+                + [("osc-pairing", dt_sym(p, 1, s, b), c if a == b else 0)
+                   for b in space])
+    ra, ma, sa = r[a - 1], m[a - 1], s[a - 1]
+    return ([("k0-raise", k_sym(p, 1, s, 0), -sa * c),
+             ("g-raise", g_sym(p, 1, s, 0), 0),
+             ("dt0-raise", dt_sym(p, 1, s, 0),
+              (ma - ra) - 2 * (mu * sa - nu * ra) * c)]
+            + [("k-raise", k_sym(p, 1, s, b), c if a == b else 0) for b in space]
+            + [("dt-raise", dt_sym(p, 1, s, b),
+                r[b - 1] * (ma - ra) - sa * (m[b - 1] - r[b - 1])
+                - (mu * r[b - 1] * sa + nu * ra * s[b - 1]) * c)
+               for b in space])
+
+
+def _relation_cases(module, relation_id):
     p = module.params
     N = p.N
     c = p.c
     box = _index_box(N, 1)
     s_samples = _small_r_samples(N)
-    failures = []
-    checked = 0
+    zr = p.zero_r()
 
-    def record(label, cond, data=None):
-        nonlocal checked
-        checked += 1
-        if not cond:
-            failures.append((label, data))
-
-    if relation_id == "current-pairing":
-        gd = p.g_dot
+    if relation_id in _PAIRING_STATES:
+        field, r_free = _PAIRING_STATES[relation_id]
         for r in box:
             for m in box:
-                base = module.g_act_symbol(
-                    g_sym(p, -1, r, 0),
-                    module.top_vector(tuple(x - y for x, y in zip(m, r))))
-                ref = module.g_act_symbol(g_sym(p, -1, p.zero_r(), 0),
-                                          module.top_vector(m))
-                record("state-r-independence", vec_eq(base, ref), (r, m))
-                for s in s_samples:
-                    ms = tuple(x + y for x, y in zip(m, s))
-                    record("k0-kill",
-                           vec_eq(module.g_act_symbol(k_sym(p, 1, s, 0), base), {}),
-                           (r, m, s))
-                    record("dt0-kill",
-                           vec_eq(module.g_act_symbol(dt_sym(p, 1, s, 0), base), {}),
-                           (r, m, s))
-                    for pp in range(1, N + 1):
-                        record("k-kill",
-                               vec_eq(module.g_act_symbol(k_sym(p, 1, s, pp), base), {}),
-                               (pp, r, m, s))
-                        record("dt-kill",
-                               vec_eq(module.g_act_symbol(dt_sym(p, 1, s, pp), base), {}),
-                               (pp, r, m, s))
-                    for g2 in range(gd.dim):
-                        got = module.g_act_symbol(g_sym(p, 1, s, g2), base)
-                        want = vec_scale(module.top_vector(ms), gd.pair(g2, 0) * c)
-                        record("current-pairing", vec_eq(got, want), (g2, r, m, s))
-        return checked, failures
-
-    if relation_id == "osc-pairing":
-        for r in box:
-            for m in box:
-                for a in range(1, N + 1):
-                    base = module.g_act_symbol(
-                        k_sym(p, -1, r, a),
-                        module.top_vector(tuple(x - y for x, y in zip(m, r))))
-                    ref = module.g_act_symbol(k_sym(p, -1, p.zero_r(), a),
-                                              module.top_vector(m))
-                    record("state-r-independence", vec_eq(base, ref), (a, r, m))
+                for a in (0,) if field is g_sym else range(1, N + 1):
+                    x = field(p, -1, r, a)
+                    state = module.g_act_symbol(x, module.top_vector(
+                        tuple(u - v for u, v in zip(m, r))))
+                    if r_free:
+                        yield ("state-r-independence", state,
+                               module.g_act_symbol(field(p, -1, zr, a),
+                                                   module.top_vector(m)),
+                               (x, m))
                     for s in s_samples:
-                        ms = tuple(x + y for x, y in zip(m, s))
-                        record("k0-kill",
-                               vec_eq(module.g_act_symbol(k_sym(p, 1, s, 0), base), {}),
-                               (a, r, m, s))
-                        record("g-kill",
-                               vec_eq(module.g_act_symbol(g_sym(p, 1, s, 0), base), {}),
-                               (a, r, m, s))
-                        record("dt0-kill",
-                               vec_eq(module.g_act_symbol(dt_sym(p, 1, s, 0), base), {}),
-                               (a, r, m, s))
-                        for b in range(1, N + 1):
-                            got = module.g_act_symbol(dt_sym(p, 1, s, b), base)
-                            want = vec_scale(module.top_vector(ms),
-                                             c if a == b else Q(0))
-                            record("osc-pairing", vec_eq(got, want), (a, b, r, m, s))
-        return checked, failures
-
-    if relation_id == "shifted-pairing":
-        mu, nu = p.mu, p.nu
-        for r in box:
-            for m in box:
-                for a in range(1, N + 1):
-                    base = module.g_act_symbol(
-                        dt_sym(p, -1, r, a),
-                        module.top_vector(tuple(x - y for x, y in zip(m, r))))
-                    for s in s_samples:
-                        ms = tuple(x + y for x, y in zip(m, s))
-                        shift = module.top_vector(ms)
-                        sa = Q(s[a - 1])
-                        got = module.g_act_symbol(k_sym(p, 1, s, 0), base)
-                        record("k0-raise", vec_eq(got, vec_scale(shift, -sa * c)),
-                               (a, r, m, s))
-                        for b in range(1, N + 1):
-                            got = module.g_act_symbol(k_sym(p, 1, s, b), base)
-                            record("k-raise",
-                                   vec_eq(got, vec_scale(shift,
-                                                         c if a == b else Q(0))),
-                                   (a, b, r, m, s))
-                        got = module.g_act_symbol(g_sym(p, 1, s, 0), base)
-                        record("g-raise", vec_eq(got, {}), (a, r, m, s))
-                        ma, ra = Q(m[a - 1]), Q(r[a - 1])
-                        got = module.g_act_symbol(dt_sym(p, 1, s, 0), base)
-                        want = vec_scale(shift,
-                                         (ma - ra) - 2 * (mu * sa - nu * ra) * c)
-                        record("dt0-raise", vec_eq(got, want), (a, r, m, s))
-                        for b in range(1, N + 1):
-                            got = module.g_act_symbol(dt_sym(p, 1, s, b), base)
-                            rb, mb = Q(r[b - 1]), Q(m[b - 1])
-                            sb = Q(s[b - 1])
-                            want = vec_scale(
-                                shift, rb * (ma - ra) - sa * (mb - rb)
-                                - (mu * rb * sa + nu * ra * sb) * c)
-                            record("dt-raise", vec_eq(got, want), (a, b, r, m, s))
-        return checked, failures
+                        shift = module.top_vector(
+                            tuple(u + v for u, v in zip(m, s)))
+                        for label, y, cf in _pairing_probes(p, relation_id,
+                                                            a, r, m, s):
+                            yield (label, module.g_act_symbol(y, state),
+                                   vec_scale(shift, cf), (x, y, m))
+        return
 
     if relation_id == "glcurrent-commute":
         # the lattice shift fields commute with the gl currents for every
         # multi-index; the elementary oscillator and g-current fields are the
         # index-zero ones
         vectors = module.sample_vectors(1)
-        m_samples = _small_r_samples(N)
-        zr = p.zero_r()
         cases = [("q", k_sym(p, -n1, m, 0), n1)
-                 for m in m_samples for n1 in range(-1, 2)]
+                 for m in s_samples for n1 in range(-1, 2)]
         cases += [("g", g_sym(p, n1 - 1, zr, 0), n1) for n1 in range(-1, 2)]
         cases += [("k", k_sym(p, n1 - 1, zr, 1), n1) for n1 in range(-1, 2)]
         cases += [("dt", dt_sym(p, n1 - 1, zr, 1), n1) for n1 in range(-1, 2)]
@@ -784,7 +755,7 @@ def relation_check(module: RealizationModule, relation_id: str):
                             ov = module.g_act_symbol(sym, vec)
                             lhs = module.g_act_symbol(sym, ev)
                             rhs = module._apply_ordered((ecombo,), -n2 - 1, ov)
-                            record("field-commute", vec_eq(lhs, rhs),
+                            yield ("field-commute", lhs, rhs,
                                    (a, b, other, n1, n2))
         for a in range(1, N + 1):
             for b in range(1, N + 1):
@@ -794,18 +765,18 @@ def relation_check(module: RealizationModule, relation_id: str):
                             dt_sym(p, -1, unit_r(N, a), b),
                             module.top_vector(tuple(
                                 m[i] - (1 if i == a - 1 else 0) for i in range(N)))),
-                        module.g_act_symbol(dt_sym(p, -1, p.zero_r(), b),
+                        module.g_act_symbol(dt_sym(p, -1, zr, b),
                                             module.top_vector(m)), Q(-1))
                     if a == b:
                         lhs = vec_add(lhs, module.g_act_symbol(
-                            k_sym(p, -1, p.zero_r(), a), module.top_vector(m)),
+                            k_sym(p, -1, zr, a), module.top_vector(m)),
                             Q(1) / c)
                     rhs = module.gl_current_state(a, b, m)
                     rhs = vec_add(rhs, module.g_act_symbol(
-                        k_sym(p, -1, p.zero_r(), a), module.top_vector(m)),
+                        k_sym(p, -1, zr, a), module.top_vector(m)),
                         Q(m[b - 1]) / c)
-                    record("state-splitting", vec_eq(lhs, rhs), (a, b, m))
-        return checked, failures
+                    yield "state-splitting", lhs, rhs, (a, b, m)
+        return
 
     if relation_id == "glcurrent-ope":
         mu, nu = p.mu, p.nu
@@ -822,19 +793,16 @@ def relation_check(module: RealizationModule, relation_id: str):
                         if a == t:
                             want0 = vec_add(want0, module.gl_current_state(s, b),
                                             Q(-1))
-                        record("ope-0", vec_eq(got0, want0), (a, b, s, t))
+                        yield "ope-0", got0, want0, (a, b, s, t)
                         got1 = module._apply_ordered((combo,), -2, state)
                         cf = (1 - mu * c) * (Q(1) if (b == s and a == t) else Q(0)) \
                             - nu * c * (Q(1) if (a == b and s == t) else Q(0))
-                        record("ope-1",
-                               vec_eq(got1, vec_scale(module.top_vector(), cf)),
+                        yield ("ope-1", got1, vec_scale(module.top_vector(), cf),
                                (a, b, s, t))
                         for n in (2, 3):
-                            record("ope-high",
-                                   vec_eq(module._apply_ordered(
-                                       (combo,), -n - 1, state), {}),
-                                   (a, b, s, t, n))
-        return checked, failures
+                            yield ("ope-high", module._apply_ordered(
+                                (combo,), -n - 1, state), {}, (a, b, s, t, n))
+        return
 
     if relation_id == "vir-lowering":
         modv = module.vacuum_companion()
@@ -847,9 +815,9 @@ def relation_check(module: RealizationModule, relation_id: str):
                 for pp in range(1, N + 1):
                     if m[pp - 1]:
                         want = vec_add(want, modv.g_act_symbol(
-                            k_sym(p, -1, p.zero_r(), pp), modv.top_vector(mr)),
+                            k_sym(p, -1, zr, pp), modv.top_vector(mr)),
                             Q(m[pp - 1]) / c)
-                record("lowering-a", vec_eq(got, want), (r, m))
+                yield "lowering-a", got, want, (r, m)
         for r in s_samples:
             for m in s_samples:
                 for a in range(1, N + 1):
@@ -858,26 +826,24 @@ def relation_check(module: RealizationModule, relation_id: str):
                         got = module.g_act_symbol(dt_sym(p, 1, r, 0), state)
                         mr = tuple(x + y for x, y in zip(m, r))
                         cf = (Q(-1) + 2 * nu * c) if a == b else Q(0)
-                        record("lowering-b",
-                               vec_eq(got, vec_scale(module.top_vector(mr), cf)),
-                               (a, b, r, m))
-        return checked, failures
+                        yield ("lowering-b", got,
+                               vec_scale(module.top_vector(mr), cf), (a, b, r, m))
+        return
 
     # vir-depth2
     modv = module.vacuum_companion()
     mu = p.mu
     for m in box:
         lhs = modv.g_act_symbol(dt_sym(p, -2, m, 0), modv.top_vector())
-        rhs = modv.g_act_symbol(dt_sym(p, -2, p.zero_r(), 0), modv.top_vector(m))
+        rhs = modv.g_act_symbol(dt_sym(p, -2, zr, 0), modv.top_vector(m))
         for pp in range(1, N + 1):
             if not m[pp - 1]:
                 continue
             for jd in range(1, N + 1):
                 st = modv.gl_current_state(pp, jd, m)
                 rhs = vec_add(rhs, modv.g_act_symbol(
-                    k_sym(p, -1, p.zero_r(), jd), st), Q(m[pp - 1]) / c)
+                    k_sym(p, -1, zr, jd), st), Q(m[pp - 1]) / c)
             rhs = vec_add(rhs, modv.g_act_symbol(
-                k_sym(p, -2, p.zero_r(), pp), modv.top_vector(m)),
+                k_sym(p, -2, zr, pp), modv.top_vector(m)),
                 -(1 - mu * c) * Q(m[pp - 1]) / c)
-        record("depth2", vec_eq(lhs, rhs), m)
-    return checked, failures
+        yield "depth2", lhs, rhs, m

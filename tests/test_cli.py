@@ -6,7 +6,8 @@ from fractions import Fraction as Q
 import pytest
 
 from torvoa import SpecFileError, parse_spec, run
-from torvoa.cli import build_context, main, render_report, report_passed
+from torvoa.cli import (COMMANDS, build_context, main, render_report,
+                        report_passed)
 
 MINIMAL = """\
 # reference data, distinguished top
@@ -172,6 +173,21 @@ class TestRun:
         assert by_id["char:error"]["status"] == "fail"
         assert "c_hei" in by_id["char:error"]["details"]
         assert not report_passed(report)
+
+    def test_out_of_memory_becomes_failing_check(self, tmp_path, capsys,
+                                                 monkeypatch):
+        def exhausted(module, rng, task):
+            raise MemoryError
+
+        monkeypatch.setitem(COMMANDS, "char", exhausted)
+        path = tmp_path / "run.torvoa"
+        path.write_text(MINIMAL, encoding="utf-8")
+        assert main([str(path)]) == 1
+        out, err = capsys.readouterr()
+        assert err == ""
+        assert json.loads(out)["checks"] == [
+            {"id": "char:error", "status": "fail",
+             "details": "ran out of memory"}]
 
     def test_jacobi_command(self):
         text = MINIMAL.replace('command = "char"', 'command = "verify-jacobi"')

@@ -291,6 +291,56 @@ class TestRelations:
             relation_check(module_n2_natural, "vir-depth2")
 
 
+class TestChecksCanFail:
+    """Every check reports a deliberate error in the action.  The error is
+    patched into ``RealizationModule.realize_plan`` on the class, so the
+    vacuum companion that 'vir-lowering' and 'vir-depth2' build carries it
+    too; fresh modules keep it out of the shared fixtures' memo tables."""
+
+    ERRORS = {"g": lambda sym: sym.tag == "g",
+              "k_p": lambda sym: sym.tag == "k" and sym.idx >= 1,
+              "k_0": lambda sym: sym.tag == "k" and sym.idx == 0}
+
+    @staticmethod
+    def _failures(check, M):
+        if check == "top-action":
+            return len(top_action_check(M, window=1)[1])
+        if check == "fields":
+            return len(field_commutator_window_check(
+                M, window=1, vectors=[M.top_vector()], names=["g-g"])[1])
+        if check == "commutator-sweep":
+            return 30 - M.commutator_sweep(random.Random(1), 30, 2, 1, 2)
+        return len(relation_check(M, check)[1])
+
+    @pytest.mark.parametrize("error, check, failures", [
+        ("g", "current-pairing", 27),
+        ("g", "fields", 99),
+        ("k_p", "osc-pairing", 27),
+        ("k_p", "shifted-pairing", 27),
+        ("k_p", "glcurrent-commute", 2),
+        ("k_p", "vir-lowering", 6),
+        ("k_p", "vir-depth2", 2),
+        ("k_0", "top-action", 48),
+        ("k_0", "commutator-sweep", 7),
+    ])
+    def test_doubled_generator(self, params_n1, monkeypatch, error, check,
+                               failures):
+        # double the coefficients of one family of generators
+        doubled, plan = self.ERRORS[error], RealizationModule.realize_plan
+        monkeypatch.setattr(
+            RealizationModule, "realize_plan",
+            lambda self, sym: [(2 * cf, fs, e) if doubled(sym) else (cf, fs, e)
+                               for cf, fs, e in plan(self, sym)])
+        assert self._failures(check, RealizationModule(params_n1)) == failures
+
+    def test_shifted_sl_level(self, params_n2):
+        M = RealizationModule(params_n2)
+        M.fmod.gamma["c_sl"] += 1
+        checked, failures = relation_check(M, "glcurrent-ope")
+        assert (checked, len(failures)) == (64, 6)
+        assert {label for label, _data in failures} == {"ope-1"}
+
+
 class TestVirasoroStructure:
     @pytest.mark.parametrize("fixture", ["module_n1", "module_n2"])
     def test_rank(self, fixture, request):
