@@ -16,13 +16,17 @@ which realizes the enveloping-vertex-algebra quotient for the trivial top.
 An ``FModule`` keeps two memo tables: ``apply_sym``'s image of each mode
 symbol on each PBW basis monomial, and the image of each mode of the
 corrected Virasoro field L'(z) on each basis monomial.  L'(m) is computed
-once per monomial from its definition (L(m) minus the normally ordered
+once per monomial from its definition: L(m) minus the normally ordered
 Sugawara quadratics of g, sl_N and the Heisenberg current, plus the dI
-correction) and ``sugawara_mode`` extends it linearly to vectors.
+correction.  The quadratics are one tensor T over basis currents, in ints
+over a common denominator, and L'(m) is one pass over T and the split modes
+of :x_i x_j:(m) that adds each second current's image once.
+``sugawara_mode`` extends it linearly to vectors.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -135,9 +139,9 @@ class FModule:
         self.top_dim = V.dim * W.dim
         self.tops = [(iv, iw) for iv in range(V.dim) for iw in range(W.dim)]
         self._zero_action = self._build_zero_modes()
-        # dual-basis pairs of the three current sectors, read by sugawara_mode
-        self.quadratic = {which: fd.quadratic_pairs(which)
-                          for which in ("g", "sl", "hei")}
+        # the Sugawara tensor of _casimir_tensor; built by sugawara_mode
+        # once the level is known not to be critical
+        self._casimir = None
         # the two memo tables: apply_sym's (sym, mono, top) and the
         # corrected Virasoro field's (m, mono, top) images.  Their entries
         # share one copy of each mode symbol and L' coefficient; without
@@ -353,20 +357,26 @@ def sugawara_constants(fd: ReductiveF, gamma: CentralCharacter,
     return c_prime, h_prime
 
 
-def _pair_mode(module: FModule, xcombo, ycombo, m, vec, depth):
-    """Mode m of the normally ordered product :x(z) y(z): applied to vec,
-    whose monomials have depth at most ``depth`` (a current mode above it
-    annihilates them)."""
-    out = {}
-    for k in range(m - depth, 0):
-        w = module.act_current(ycombo, m - k, vec)
-        if w:
-            add_into(out, module.act_current(xcombo, k, w))
-    for k in range(0, depth + 1):
-        w = module.act_current(xcombo, k, vec)
-        if w:
-            add_into(out, module.act_current(ycombo, m - k, w))
-    return out
+def _casimir_tensor(fd: ReductiveF, gamma: CentralCharacter):
+    """(T, D): T[(i, j)] / D is the coefficient of :x_i(z) x_j(z): in L'(z),
+    minus each sector's dual-basis quadratic over twice its shifted level.
+    D is the least common denominator, so the entries of T are ints."""
+    sectors = (("g", gamma.c_g + fd.g.h_vee), ("sl", gamma.c_sl + fd.N),
+               ("hei", gamma.c_hei))
+    T = {}
+    for which, level in sectors:
+        for xc, yc, cf in fd.quadratic_pairs(which):
+            scale = -cf / (2 * level)
+            for i, xi in xc.items():
+                for j, yj in yc.items():
+                    merge(T, (i, j), scale * xi * yj)
+    D = math.lcm(*(cf.denominator for cf in T.values()))
+    return {ij: int(cf * D) for ij, cf in T.items()}, D
+
+
+def _integral(cf):
+    # most PBW coefficients are integral, and int products are far cheaper
+    return cf.numerator if cf.denominator == 1 else cf
 
 
 def _sugawara_basis(module: FModule, gamma: CentralCharacter, m, mono, top):
@@ -376,27 +386,37 @@ def _sugawara_basis(module: FModule, gamma: CentralCharacter, m, mono, top):
     hit = module._sugawara_cache.get(key)
     if hit is not None:
         return hit
-    fd = module.fd
-    vec = {(mono, top): Q(1)}
+    apply_sym = module.apply_sym
+    T, D = module._casimir
     depth = sum(-mode_of(s) for s in mono)
-    out = module.act(("L", m), vec)
-
-    def accumulate(pairs, denom):
-        scale = Q(-1) / denom
-        for xc, yc, cf in pairs:
-            add_into(out, _pair_mode(module, xc, yc, m, vec, depth), scale * cf)
-
-    accumulate(module.quadratic["g"], 2 * (gamma.c_g + fd.g.h_vee))
-    if fd.N >= 2:
-        accumulate(module.quadratic["sl"], 2 * (gamma.c_sl + fd.N))
-    accumulate(module.quadratic["hei"], 2 * gamma.c_hei)
+    # :x_i x_j:(m) = sum_{k<0} x_i(k) x_j(m-k) + sum_{k>=0} x_j(m-k) x_i(k);
+    # a current mode above ``depth`` annihilates the monomial.  pending holds
+    # the coefficient of each second application per (symbol, mono, top),
+    # and acc is D times the image
+    pending = {}
+    for (i, j), tc in T.items():
+        for k in range(m - depth, depth + 1):
+            if k < 0:
+                first, second = ("f", j, m - k), ("f", i, k)
+            else:
+                first, second = ("f", i, k), ("f", j, m - k)
+            for (m2, t2), c2 in apply_sym(first, mono, top).items():
+                merge(pending, (second, m2, t2), tc * _integral(c2))
+    acc = add_into({}, apply_sym(("L", m), mono, top), D)
+    for (sym, m2, t2), cf in pending.items():
+        for key2, c2 in apply_sym(sym, m2, t2).items():
+            merge(acc, key2, cf * _integral(c2))
     # derivative correction: -(c_vh/c_hei) dI(z) contributes
     # (c_vh/c_hei) (m+1) I(m) at Virasoro mode m
-    cf = gamma.c_vh / gamma.c_hei * (m + 1)
+    cf = D * gamma.c_vh / gamma.c_hei * (m + 1)
     if cf:
-        add_into(out, module.act_current(fd.identity_combo(), m, vec), cf)
+        for i, ci in module.fd.identity_combo().items():
+            add_into(acc, apply_sym(("f", i, m), mono, top), cf * ci)
     shared = module._shared
-    out = {k: shared.setdefault(v, v) for k, v in out.items()}
+    out = {}
+    for key2, cf in acc.items():
+        cf = Q(cf, D)
+        out[key2] = shared.setdefault(cf, cf)
     module._sugawara_cache[key] = out
     return out
 
@@ -406,6 +426,8 @@ def sugawara_mode(module: FModule, m: int, vec):
     linear extension of its memoized image of each basis monomial."""
     gamma = CentralCharacter(**module.gamma)
     check_generic(module.fd, gamma)
+    if module._casimir is None:
+        module._casimir = _casimir_tensor(module.fd, gamma)
     out = {}
     for (mono, top), cf in vec.items():
         add_into(out, _sugawara_basis(module, gamma, m, mono, top), cf)

@@ -4,9 +4,10 @@ from fractions import Fraction as Q
 
 import pytest
 
-from torvoa import (CentralCharacter, CriticalLevelError, FModule, ReductiveF,
-                    build_gl_module, build_module, f_bracket,
-                    singular_vectors, sugawara_constants, sugawara_mode)
+from torvoa import (CentralCharacter, CriticalLevelError, FModule, Params,
+                    ReductiveF, build_gl_module, build_module, f_bracket,
+                    simple_algebra, singular_vectors, sugawara_constants,
+                    sugawara_mode)
 from torvoa.characters import colored_partition_count
 from torvoa.linalg import add_into, vec_add, vec_eq
 
@@ -333,7 +334,7 @@ def _reference_sugawara(module, m, vec):
         sectors.append(("sl", 2 * (gamma.c_sl + fd.N)))
     sectors.append(("hei", 2 * gamma.c_hei))
     for which, denom in sectors:
-        for xc, yc, cf in module.quadratic[which]:
+        for xc, yc, cf in fd.quadratic_pairs(which):
             add_into(out, pair_mode(xc, yc), -cf / denom)
     add_into(out, module.act_current(fd.identity_combo(), m, vec),
              gamma.c_vh / gamma.c_hei * (m + 1))
@@ -342,51 +343,87 @@ def _reference_sugawara(module, m, vec):
 
 class TestSugawaraMemo:
     """The memoized corrected Virasoro field against its definition on whole
-    vectors, on three tops: every depth <= 2 basis monomial and two
-    mixed-depth vectors with several terms, for modes -3..3."""
+    vectors, on five tops: every basis monomial up to the shape's depth and
+    two mixed-depth vectors with several terms, for the shape's modes.  The
+    A1 shapes at N <= 2 go to depth 2 and modes -3..3; natural tops of
+    g = A2 at N = 1 and of A1 at N = 3, at mu = 2/7, nu = -1/4, c = 3/2, go
+    to depth 1 and modes -2..2 (their sl_3 Gram inverses and gl_3 combos
+    have cross terms)."""
 
-    MODES = range(-3, 4)
-
-    @pytest.fixture(scope="class", params=["n1_standard", "n2_natural",
-                                           "n1_vacuum"])
-    def module(self, request, params_n1, params_n2, sl2):
-        params = params_n2 if request.param == "n2_natural" else params_n1
+    @pytest.fixture(scope="class", params=[
+        "n1_standard", "n2_natural", "n1_vacuum", "a2_n1_natural",
+        "a1_n3_natural"])
+    def case(self, request, params_n1, params_n2, sl2):
+        """(module, deepest basis depth, modes) of one shape."""
+        shape = request.param
+        if shape in ("a2_n1_natural", "a1_n3_natural"):
+            alg = simple_algebra("A2" if shape == "a2_n1_natural" else "A1")
+            params = Params(N=1 if shape == "a2_n1_natural" else 3,
+                            mu=Q(2, 7), nu=Q(-1, 4), c=Q(3, 2), g_dot=alg)
+            module = FModule(ReductiveF(alg, params.N),
+                             CentralCharacter.from_params(params),
+                             build_module(alg, "natural"),
+                             build_gl_module(params.N, "natural"),
+                             h_hei=Q(1, 5), h_vir=Q(8, 15))
+            return module, 1, range(-2, 3)
+        params = params_n2 if shape == "n2_natural" else params_n1
         fd = ReductiveF(sl2, params.N)
         gamma = CentralCharacter.from_params(params)
-        if request.param == "n2_natural":
-            return FModule(fd, gamma, build_module(sl2, "natural"),
-                           build_gl_module(2, "natural"),
-                           h_hei=Q(1, 5), h_vir=Q(8, 15))
-        W = build_gl_module(1, "trivial", id_scalar=params.nu * params.c)
-        return FModule(fd, gamma, build_module(sl2, "trivial"), W,
-                       h_hei=Q(0), h_vir=Q(0),
-                       vacuum=request.param == "n1_vacuum")
+        if shape == "n2_natural":
+            module = FModule(fd, gamma, build_module(sl2, "natural"),
+                             build_gl_module(2, "natural"),
+                             h_hei=Q(1, 5), h_vir=Q(8, 15))
+        else:
+            W = build_gl_module(1, "trivial", id_scalar=params.nu * params.c)
+            module = FModule(fd, gamma, build_module(sl2, "trivial"), W,
+                             h_hei=Q(0), h_vir=Q(0),
+                             vacuum=shape == "n1_vacuum")
+        return module, 2, range(-3, 4)
 
     @staticmethod
-    def mixed_vectors(module):
+    def mixed_vectors(module, depth):
         tops = module.tops
-        m1, m2 = module.monomials_at(1), module.monomials_at(2)
+        m1, deep = module.monomials_at(1), module.monomials_at(depth)
         return [
             {((), tops[0]): Q(3, 7), (m1[0], tops[-1]): Q(-2),
-             (m2[-1], tops[0]): Q(5, 3)},
-            {(m1[-1], tops[0]): Q(-1, 4), (m2[0], tops[-1]): Q(7),
-             (m2[len(m2) // 2], tops[0]): Q(2, 9)},
+             (deep[-1], tops[0]): Q(5, 3)},
+            {(m1[-1], tops[0]): Q(-1, 4), (deep[0], tops[-1]): Q(7),
+             (deep[len(deep) // 2], tops[0]): Q(2, 9)},
         ]
 
-    def test_matches_definition(self, module):
-        vecs = [{key: Q(1)} for depth in range(3)
-                for key in module.basis_at(depth)]
-        vecs += self.mixed_vectors(module)
+    def test_matches_definition(self, case):
+        module, depth, modes = case
+        vecs = [{key: Q(1)} for d in range(depth + 1)
+                for key in module.basis_at(d)]
+        vecs += self.mixed_vectors(module, depth)
         for v in vecs:
-            for m in self.MODES:
+            for m in modes:
                 got = sugawara_mode(module, m, v)
                 assert vec_eq(got, _reference_sugawara(module, m, v)), (m, v)
                 assert all(type(cf) is Q for cf in got.values())
                 assert all(got.values())
 
-    def test_memo_entries_share_symbols_and_coefficients(self, module):
-        for v in self.mixed_vectors(module):
-            for m in self.MODES:
+    def test_casimir_tensor_is_symmetric_and_invariant(self, case):
+        # sum T[i, j] ([x_a, x_i] (x) x_j + x_i (x) [x_a, x_j]) = 0 for every
+        # basis current x_a: the reason [L'(n), x(m)] = 0
+        module, _depth, _modes = case
+        fd = module.fd
+        sugawara_mode(module, 0, module.top_vector())
+        T, _D = module._casimir
+        assert T and all(T.get((j, i)) == cf for (i, j), cf in T.items())
+        for a in range(fd.dim):
+            tot = {}
+            for (i, j), cf in T.items():
+                for k, bk in fd.bracket(a, i).items():
+                    add_into(tot, {(k, j): bk}, cf)
+                for k, bk in fd.bracket(a, j).items():
+                    add_into(tot, {(i, k): bk}, cf)
+            assert tot == {}, a
+
+    def test_memo_entries_share_symbols_and_coefficients(self, case):
+        module, depth, modes = case
+        for v in self.mixed_vectors(module, depth):
+            for m in modes:
                 sugawara_mode(module, m, v)
         values = [cf for img in module._sugawara_cache.values()
                   for cf in img.values()]
@@ -394,9 +431,10 @@ class TestSugawaraMemo:
         syms = [sym for sym, _mono, _top in module._cache]
         assert len({id(s) for s in syms}) == len(set(syms))
 
-    def test_returned_vectors_are_fresh(self, module):
-        for v in [module.top_vector()] + self.mixed_vectors(module):
-            for m in self.MODES:
+    def test_returned_vectors_are_fresh(self, case):
+        module, depth, modes = case
+        for v in [module.top_vector()] + self.mixed_vectors(module, depth):
+            for m in modes:
                 got = sugawara_mode(module, m, v)
                 want = dict(got)
                 got.clear()
@@ -420,6 +458,7 @@ class TestSugawaraCriticalLevel:
             with pytest.raises(CriticalLevelError):
                 sugawara_mode(mod, 1, mod.top_vector())
         assert mod._sugawara_cache == {}
+        assert mod._casimir is None
 
     def test_warm_memo_does_not_skip_the_check(self, fd2, gamma2, sl2):
         V = build_module(sl2, "trivial")
