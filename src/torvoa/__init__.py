@@ -9,9 +9,8 @@ from .algebra_core import (BasisSymbol, ConfigError, Params, ToroidalElement,
                            bracket, bracket_symbols, canonicalize_center,
                            d_sym, dt_sym, from_tilde, g_sym, jacobi_check,
                            k_sym, random_symbol, to_tilde)
-from .characters import (CharTable, QSeries, colored_partition_count, compare,
-                         enumerate_weight_spaces, eta_power,
-                         product_formula_char)
+from .characters import (CharTable, colored_partition_count, compare,
+                         enumerate_weight_spaces, product_formula_char)
 from .finite_lie_data import (FiniteModule, GLModule, ReductiveF,
                               SimpleAlgebra, ValidationError, build_gl_module,
                               build_module, build_sl, casimir_eigenvalue,

@@ -5,17 +5,20 @@ Depth 0 is anchored at the top (where d_0 takes its maximal eigenvalue) and
 a table entry (n, m) is the dimension of the component of depth n and
 lattice weight m.  For tops that are free of rank one over the Laurent ring
 these dimensions do not depend on m.
+
+The product formula is one series: the depth-n coefficient is the integer
+``colored_partition_count(n, colors)`` times the top dimension.
+``enumerate_weight_spaces`` is the independent second route, counting
+oscillator monomials by explicit generation and induced-module monomials
+from the PBW basis.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import comb
 
 from .toroidal_realization import RealizationModule, _index_box
 from .virasoro_affine import check_generic, singular_vectors
-
-Q = Fraction
 
 
 class ResourceLimitError(RuntimeError):
@@ -25,54 +28,9 @@ class ResourceLimitError(RuntimeError):
 MAX_ENUMERATION_DEPTH = 8
 
 
-class QSeries:
-    """Truncated power series with exact rational coefficients."""
-
-    def __init__(self, coeffs, max_depth):
-        self.max_depth = max_depth
-        self.coeffs = [Q(x) for x in coeffs[:max_depth + 1]]
-        while len(self.coeffs) < max_depth + 1:
-            self.coeffs.append(Q(0))
-
-    @classmethod
-    def one(cls, max_depth):
-        return cls([Q(1)], max_depth)
-
-    def __mul__(self, other):
-        if isinstance(other, QSeries):
-            n = min(self.max_depth, other.max_depth)
-            out = [Q(0)] * (n + 1)
-            for i, a in enumerate(self.coeffs[:n + 1]):
-                if a:
-                    for j, b in enumerate(other.coeffs[:n + 1 - i]):
-                        if b:
-                            out[i + j] += a * b
-            return QSeries(out, n)
-        return QSeries([other * x for x in self.coeffs], self.max_depth)
-
-    def __eq__(self, other):
-        return (self.max_depth == other.max_depth
-                and self.coeffs == other.coeffs)
-
-
-def eta_power(colors: int, max_depth: int) -> QSeries:
-    """prod_{j >= 1} (1 - t^j)^(-colors), truncated."""
-    out = QSeries.one(max_depth)
-    for j in range(1, max_depth + 1):
-        coeffs = [Q(0)] * (max_depth + 1)
-        idx = 0
-        m = 0
-        while idx <= max_depth:
-            coeffs[idx] = Q(comb(colors - 1 + m, m))
-            m += 1
-            idx += j
-        out = out * QSeries(coeffs, max_depth)
-    return out
-
-
 def colored_partition_count(n: int, colors: int) -> int:
-    """Number of multisets of colored positive parts summing to n, by a
-    direct recursion independent of the series arithmetic."""
+    """Number of multisets of colored positive parts summing to n: the
+    coefficient of t^n in prod_{j >= 1} (1 - t^j)^(-colors)."""
     # table[k][s] = count using parts of size <= k
     table = [1] + [0] * n
     for part in range(1, n + 1):
@@ -172,15 +130,12 @@ def product_formula_char(module: RealizationModule, max_depth: int,
     check_generic(module.fd, gamma)
 
     colors = (2 * N + 1) + p.g_dot.dim + (N * N - 1) + 1
-    series = eta_power(colors, max_depth)
     scale = module.V.dim * module.W.dim
     entries = {}
     for n in range(max_depth + 1):
-        cf = series.coeffs[n] * scale
-        if cf.denominator != 1:
-            raise ValueError("non-integer character coefficient")
+        cf = colored_partition_count(n, colors) * scale
         for m in _index_box(N, 2):
-            entries[(n, tuple(m))] = int(cf)
+            entries[(n, tuple(m))] = cf
     table = CharTable(entries, max_depth)
 
     certified = None

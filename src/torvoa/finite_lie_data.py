@@ -75,10 +75,6 @@ def _freeze(mat):
     return tuple(tuple(Q(x) for x in row) for row in mat)
 
 
-def _thaw(mat):
-    return [list(row) for row in mat]
-
-
 # ---------------------------------------------------------------------------
 # simple algebras sl_n
 # ---------------------------------------------------------------------------
@@ -205,8 +201,8 @@ def _check_respects_brackets(alg: SimpleAlgebra, mats):
         for j in range(i + 1, alg.dim):
             lhs = mat_zero(len(mats[0]))
             for k, cf in alg.struct[i][j]:
-                lhs = mat_add(lhs, mat_scale(_thaw(mats[k]), cf))
-            rhs = mat_comm(_thaw(mats[i]), _thaw(mats[j]))
+                lhs = mat_add(lhs, mat_scale(mats[k], cf))
+            rhs = mat_comm(mats[i], mats[j])
             if not mat_eq(lhs, rhs):
                 raise ValidationError(
                     f"matrices do not respect brackets at basis pair "
@@ -271,8 +267,8 @@ def casimir_matrix_eigenvalue(alg: SimpleAlgebra, module: FiniteModule) -> Fract
         for j in range(alg.dim):
             cf = ginv[i][j]
             if cf:
-                total = mat_add(total, mat_scale(mat_mul(_thaw(module.mats[i]),
-                                                         _thaw(module.mats[j])), cf))
+                total = mat_add(total, mat_scale(mat_mul(module.mats[i],
+                                                         module.mats[j]), cf))
     scalar = total[0][0]
     expected = [[scalar if i == j else Q(0) for j in range(d)] for i in range(d)]
     if not mat_eq(total, expected):
@@ -315,42 +311,38 @@ class GLModule:
         coords = _sl_coords(self.N, m)
         out = mat_zero(self.dim)
         for pos, cf in coords.items():
-            out = mat_add(out, mat_scale(_thaw(self.sl_mats[pos]), cf))
+            out = mat_add(out, mat_scale(self.sl_mats[pos], cf))
         return _freeze(out)
 
     def gl_action(self, a, b):
         """Matrix of E_ab with the identity acting by id_scalar (1-based a, b)."""
-        out = _thaw(self.traceless_part_action(a, b))
-        if a == b:
-            for i in range(self.dim):
-                out[i][i] += self.id_scalar / self.N
-        return _freeze(out)
+        out = self.traceless_part_action(a, b)
+        if a != b:
+            return out
+        s = self.id_scalar / self.N
+        scalar = [[s if i == j else 0 for j in range(self.dim)]
+                  for i in range(self.dim)]
+        return _freeze(mat_add(out, scalar))
 
 
 def build_gl_module(N: int, kind: str, id_scalar=None, sl_mats=None) -> GLModule:
     if N < 1:
         raise ValidationError("N must be >= 1")
+    defaults = {"trivial": Q(0), "natural": Q(1), "explicit": None}
+    if kind not in defaults:
+        raise ValidationError(f"unknown gl module kind {kind!r}")
+    scalar = Q(defaults[kind] if id_scalar is None else id_scalar)
+    if N == 1:
+        return GLModule(1, 1, (), scalar)
+    sl = build_sl(N)
     if kind == "trivial":
-        scalar = Q(0) if id_scalar is None else Q(id_scalar)
-        if N == 1:
-            return GLModule(1, 1, (), scalar)
-        sl = build_sl(N)
         zero = tuple(_freeze(mat_zero(1)) for _ in range(sl.dim))
         return GLModule(N, 1, zero, scalar, weight=tuple(Q(0) for _ in range(N)))
     if kind == "natural":
-        scalar = Q(1) if id_scalar is None else Q(id_scalar)
-        if N == 1:
-            return GLModule(1, 1, (), scalar)
-        sl = build_sl(N)
         lam = tuple(Q(1) if i == 0 else Q(0) for i in range(N))
         return GLModule(N, N, sl.matrices, scalar, weight=lam)
-    if kind == "explicit":
-        if N == 1:
-            return GLModule(1, 1, (), Q(id_scalar))
-        sl = build_sl(N)
-        mod = build_module(sl, "explicit", mats=sl_mats)
-        return GLModule(N, mod.dim, mod.mats, Q(id_scalar), weight=None)
-    raise ValidationError(f"unknown gl module kind {kind!r}")
+    mod = build_module(sl, "explicit", mats=sl_mats)
+    return GLModule(N, mod.dim, mod.mats, scalar, weight=None)
 
 
 # ---------------------------------------------------------------------------

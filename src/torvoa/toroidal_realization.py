@@ -42,7 +42,7 @@ from .lattice_fock import (HypLattice, _canon, _canon_vec, _exp_term,
                            _insert_osc, coset_point, falling, fock_depth,
                            heis_act_gen, hyp_virasoro_mode, random_osc)
 from .linalg import add_into, merge, vec_add, vec_eq, vec_scale
-from .virasoro_affine import (CentralCharacter, FModule, mode_of,
+from .virasoro_affine import (CentralCharacter, FModule, depth,
                               sugawara_constants)
 
 Q = Fraction
@@ -245,8 +245,7 @@ class RealizationModule:
         else:
             # an M_f field of weight w kills depth-d monomials below z^(-d-w);
             # the Fock product vanishes below its minimal exponent
-            depth = sum(-mode_of(s) for s in mono)
-            lo = -depth - (2 if ffac[0] == "fvir" else 1)
+            lo = -depth(mono) - (2 if ffac[0] == "fvir" else 1)
             hi = e - lattice_fock._term_min_exponent(self.lat, fock, expy,
                                                      osc, lat)
             for e2 in range(lo, floor(hi) + 1):

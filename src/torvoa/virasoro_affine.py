@@ -12,6 +12,12 @@ Modules are induced from a finite top V (x) W on which L(0) acts by h_vir,
 the identity current by h_hei, positive modes by zero, and the centers by a
 fixed character.  The ``vacuum`` flavor additionally kills L(-1) on the top,
 which realizes the enveloping-vertex-algebra quotient for the trivial top.
+An ``FModule`` holds the frozen ``CentralCharacter`` it is given, and reads
+each central value from it by name.
+
+A PBW monomial of negative modes has ``depth`` minus the sum of its modes,
+and a mode above that depth annihilates it; ``apply_sym`` answers such a
+mode with zero at once and does not store it.
 
 An ``FModule`` keeps two memo tables: ``apply_sym``'s image of each mode
 symbol on each PBW basis monomial, and the image of each mode of the
@@ -70,6 +76,12 @@ def mode_of(sym):
     return sym[1] if sym[0] == "L" else sym[2]
 
 
+def depth(mono):
+    """PBW depth of a monomial of negative modes: the L(0) grading below
+    the top.  A mode above its monomial's depth annihilates it."""
+    return -sum(map(mode_of, mono))
+
+
 def _key(sym):
     # PBW order: ascending depth, ties L before currents, then basis index
     if sym[0] == "L":
@@ -125,7 +137,7 @@ class FModule:
                  V: FiniteModule, W: GLModule,
                  h_hei: Fraction, h_vir: Fraction, vacuum: bool = False):
         self.fd = fd
-        self.gamma = gamma.as_dict()
+        self.gamma = gamma
         self.V = V
         self.W = W
         self.h_hei = Q(h_hei)
@@ -154,33 +166,27 @@ class FModule:
     # -- static structure ---------------------------------------------------
 
     def _build_zero_modes(self):
-        """Per basis current, the top action as sparse {(src_top, dst_top): cf}."""
-        N = self.fd.N
+        """Per basis current, its top action: source top -> image
+        {((), dst_top): cf}.  A g current acts on V, E_ab on W through its
+        traceless part, plus h_hei / N on the diagonal when a = b."""
         table = []
         for sym in self.fd.basis:
-            entries = {}
             if sym[0] == "g":
-                mat = self.V.mats[sym[1]]
-                for iv in range(self.V.dim):
-                    for iv2 in range(self.V.dim):
-                        cf = mat[iv2][iv]
-                        if cf:
-                            for iw in range(self.W.dim):
-                                entries[((iv, iw), (iv2, iw))] = cf
+                mat, slot, scalar = self.V.mats[sym[1]], 0, 0
             else:
                 _, a, b = sym
-                mat = self.W.traceless_part_action(a, b)
-                for iw in range(self.W.dim):
-                    for iw2 in range(self.W.dim):
-                        cf = mat[iw2][iw]
-                        if cf:
-                            for iv in range(self.V.dim):
-                                entries[((iv, iw), (iv, iw2))] = cf
-                if a == b and self.h_hei:
-                    hh = self.h_hei / N
-                    for t in self.tops:
-                        merge(entries, (t, t), hh)
-            table.append(entries)
+                mat, slot = self.W.traceless_part_action(a, b), 1
+                scalar = self.h_hei / self.fd.N if a == b else 0
+            images = {}
+            for top in self.tops:
+                img = {}
+                for k, row in enumerate(mat):
+                    dst = (k, top[1]) if slot == 0 else (top[0], k)
+                    merge(img, ((), dst), row[top[slot]])
+                merge(img, ((), top), scalar)
+                if img:
+                    images[top] = img
+            table.append(images)
         return table
 
     def top_vector(self, iv=0, iw=0):
@@ -191,29 +197,28 @@ class FModule:
     def _top_apply(self, sym, top):
         if sym[0] == "L":
             return {((), top): self.h_vir} if self.h_vir else {}
-        out = {}
-        for (src, dst), cf in self._zero_action[sym[1]].items():
-            if src == top:
-                merge(out, ((), dst), cf)
-        return out
+        return self._zero_action[sym[1]].get(top, {})
 
     def apply_sym(self, sym, mono, top):
-        """sym * (mono acting on top); returns a cached dict, do not mutate."""
+        """sym * (mono acting on top); returns a cached dict, do not mutate.
+
+        A mode above the monomial's depth gives zero by grading, which is
+        returned at once and not stored."""
         if sym[0] == "C":
-            value = self.gamma[sym[1]]
+            value = getattr(self.gamma, sym[1])
             return {(mono, top): value} if value else {}
         key = (sym, mono, top)
         hit = self._cache.get(key)
         if hit is not None:
             return hit
+        n = mode_of(sym)
+        if n > depth(mono):
+            return {}
         sym = self._shared.setdefault(sym, sym)
         key = (sym, mono, top)
-        n = mode_of(sym)
         reducible = self.vacuum and sym == ("L", -1)
         if not mono:
-            if n > 0:
-                out = {}
-            elif n == 0:
+            if n == 0:
                 out = self._top_apply(sym, top)
             elif reducible:
                 out = {}
@@ -379,7 +384,7 @@ def _integral(cf):
     return cf.numerator if cf.denominator == 1 else cf
 
 
-def _sugawara_basis(module: FModule, gamma: CentralCharacter, m, mono, top):
+def _sugawara_basis(module: FModule, m, mono, top):
     """L'(m) on one PBW monomial, from the definition; returns a cached
     dict, do not mutate."""
     key = (m, mono, top)
@@ -388,14 +393,14 @@ def _sugawara_basis(module: FModule, gamma: CentralCharacter, m, mono, top):
         return hit
     apply_sym = module.apply_sym
     T, D = module._casimir
-    depth = sum(-mode_of(s) for s in mono)
+    d = depth(mono)
     # :x_i x_j:(m) = sum_{k<0} x_i(k) x_j(m-k) + sum_{k>=0} x_j(m-k) x_i(k);
-    # a current mode above ``depth`` annihilates the monomial.  pending holds
+    # a current mode above the depth d annihilates the monomial.  pending holds
     # the coefficient of each second application per (symbol, mono, top),
     # and acc is D times the image
     pending = {}
     for (i, j), tc in T.items():
-        for k in range(m - depth, depth + 1):
+        for k in range(m - d, d + 1):
             if k < 0:
                 first, second = ("f", j, m - k), ("f", i, k)
             else:
@@ -408,6 +413,7 @@ def _sugawara_basis(module: FModule, gamma: CentralCharacter, m, mono, top):
             merge(acc, key2, cf * _integral(c2))
     # derivative correction: -(c_vh/c_hei) dI(z) contributes
     # (c_vh/c_hei) (m+1) I(m) at Virasoro mode m
+    gamma = module.gamma
     cf = D * gamma.c_vh / gamma.c_hei * (m + 1)
     if cf:
         for i, ci in module.fd.identity_combo().items():
@@ -424,13 +430,12 @@ def _sugawara_basis(module: FModule, gamma: CentralCharacter, m, mono, top):
 def sugawara_mode(module: FModule, m: int, vec):
     """Mode m (Virasoro indexing) of the corrected Virasoro field: the
     linear extension of its memoized image of each basis monomial."""
-    gamma = CentralCharacter(**module.gamma)
-    check_generic(module.fd, gamma)
+    check_generic(module.fd, module.gamma)
     if module._casimir is None:
-        module._casimir = _casimir_tensor(module.fd, gamma)
+        module._casimir = _casimir_tensor(module.fd, module.gamma)
     out = {}
     for (mono, top), cf in vec.items():
-        add_into(out, _sugawara_basis(module, gamma, m, mono, top), cf)
+        add_into(out, _sugawara_basis(module, m, mono, top), cf)
     return out
 
 

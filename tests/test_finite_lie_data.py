@@ -142,3 +142,5 @@ class TestGLModules:
         W = build_gl_module(1, "natural")
         assert W.dim == 1 and W.sl_mats == ()
         assert W.gl_action(1, 1) == ((Q(1),),)
+        with pytest.raises(ValidationError):
+            build_gl_module(1, "adjoint")

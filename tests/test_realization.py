@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from fractions import Fraction as Q
 from math import floor
@@ -335,46 +336,14 @@ class TestChecksCanFail:
 
     def test_shifted_sl_level(self, params_n2):
         M = RealizationModule(params_n2)
-        M.fmod.gamma["c_sl"] += 1
+        M.fmod.gamma = dataclasses.replace(M.fmod.gamma,
+                                           c_sl=M.fmod.gamma.c_sl + 1)
         checked, failures = relation_check(M, "glcurrent-ope")
         assert (checked, len(failures)) == (64, 6)
         assert {label for label, _data in failures} == {"ope-1"}
 
 
 class TestVirasoroStructure:
-    @pytest.mark.parametrize("fixture", ["module_n1", "module_n2"])
-    def test_rank(self, fixture, request):
-        M = request.getfixturevalue(fixture)
-        p = M.params
-        zr = p.zero_r()
-        rank = 12 * (p.mu + p.nu) * p.c
-        for m in (zr, unit_r(p.N, 1)):
-            v = M.top_vector(m)
-            lhs = vec_add(
-                M.g_act_symbol(dt_sym(p, 2, zr, 0),
-                               M.g_act_symbol(dt_sym(p, -2, zr, 0), v)),
-                M.g_act_symbol(dt_sym(p, -2, zr, 0),
-                               M.g_act_symbol(dt_sym(p, 2, zr, 0), v)), Q(-1))
-            lhs = vec_add(lhs, M.g_act_symbol(dt_sym(p, 0, zr, 0), v), Q(-4))
-            assert vec_eq(lhs, vec_scale(v, rank / 2))
-
-    def test_mode_additivity(self, module_n1):
-        M = module_n1
-        p = M.params
-        zr = p.zero_r()
-        rng = random.Random(13)
-        ex = ("exp", M._exp_vec(zr))
-        for _ in range(6):
-            v = M.random_vector(rng, 2)
-            for j in range(-2, 3):
-                got = M.g_act_symbol(dt_sym(p, j, zr, 0), v)
-                hyp = {}
-                for q in range(p.N):
-                    hyp = vec_add(hyp, M._apply_ordered(
-                        (("osc", q, 0), ("osc", p.N + q, 0), ex), -j - 2, v))
-                fv = M._apply_ordered((("fvir",), ex), -j - 2, v)
-                assert vec_eq(got, vec_add(hyp, fv))
-
     @pytest.mark.parametrize("fixture", ["module_n1", "module_n2_natural"])
     def test_fock_part_is_normal_ordered_omega(self, fixture, request):
         """The Fock part of the dt_0 plan at r != 0 against

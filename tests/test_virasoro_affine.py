@@ -5,11 +5,13 @@ from fractions import Fraction as Q
 import pytest
 
 from torvoa import (CentralCharacter, CriticalLevelError, FModule, Params,
-                    ReductiveF, build_gl_module, build_module, f_bracket,
-                    simple_algebra, singular_vectors, sugawara_constants,
-                    sugawara_mode)
+                    RealizationModule, ReductiveF, build_gl_module,
+                    build_module, f_bracket, simple_algebra, singular_vectors,
+                    sugawara_constants, sugawara_mode, virasoro_affine)
 from torvoa.characters import colored_partition_count
-from torvoa.linalg import add_into, vec_add, vec_eq
+from torvoa.linalg import add_into, vec_add, vec_eq, vec_scale
+from torvoa.virasoro_affine import (depth, mode_of, sugawara_sweep,
+                                    sugawara_test_vectors)
 
 
 @pytest.fixture(scope="module")
@@ -156,7 +158,8 @@ class TestNoStoredZero:
                        h_hei=Q(1), h_vir=Q(1, 3))
 
     def test_cancelled_top_action_is_empty(self, cancelling, fd2):
-        assert all(all(t.values()) for t in cancelling._zero_action)
+        assert all(all(img.values()) for table in cancelling._zero_action
+                   for img in table.values())
         e11 = fd2.e_index(1, 1)
         assert cancelling.apply_sym(("f", e11, 0), (), (0, 1)) == {}
         assert cancelling.apply_sym(("C", "c_sl"), (), (0, 0)) == {}
@@ -315,7 +318,7 @@ def _reference_sugawara(module, m, vec):
     sector's normally ordered quadratic with every current mode up to the
     vector's maximal depth, plus the dI correction."""
     fd = module.fd
-    gamma = CentralCharacter(**module.gamma)
+    gamma = module.gamma
     dmax = max((sum(-s[-1] for s in mono) for mono, _top in vec), default=0)
 
     def pair_mode(xcombo, ycombo):
@@ -465,6 +468,45 @@ class TestSugawaraCriticalLevel:
         W = build_gl_module(2, "trivial", id_scalar=Q(0))
         mod = FModule(fd2, gamma2, V, W, h_hei=Q(0), h_vir=Q(0))
         sugawara_mode(mod, 1, mod.top_vector())
-        mod.gamma["c_hei"] = Q(0)
+        mod.gamma = dataclasses.replace(mod.gamma, c_hei=Q(0))
         with pytest.raises(CriticalLevelError):
             sugawara_mode(mod, 1, mod.top_vector())
+
+
+class TestHeldOnce:
+    """The central character is the one object the module was given, and a
+    mode above its monomial's depth is zero by grading, never stored."""
+
+    def test_central_character_is_not_copied(self, params_n2, monkeypatch):
+        module = RealizationModule(params_n2)
+        assert module.fmod.gamma is module.gamma0
+        _c, h_prime = module.sugawara_constants()
+
+        def forbidden(**_kw):
+            raise AssertionError("sugawara_mode built a CentralCharacter")
+
+        monkeypatch.setattr(virasoro_affine, "CentralCharacter", forbidden)
+        top = module.fmod.top_vector()
+        assert vec_eq(sugawara_mode(module.fmod, 0, top),
+                      vec_scale(top, h_prime))
+
+    def test_no_mode_above_depth_is_stored(self, params_n2):
+        module = RealizationModule(params_n2)
+        fmod = module.fmod
+        c_prime, _h = module.sugawara_constants()
+        vecs = sugawara_test_vectors(fmod, random.Random(1), 3)
+        assert all(sugawara_sweep(fmod, c_prime, 2, vecs, 4))
+        vac = module.vacuum_companion().fmod
+        for d in range(1, 4):
+            singular_vectors(vac, d)
+        for mod in (fmod, vac):
+            assert mod._cache
+            assert all(mode_of(sym) <= depth(mono)
+                       for sym, mono, _top in mod._cache)
+        for mono in [()] + fmod.monomials_at(1) + fmod.monomials_at(2):
+            for top in fmod.tops:
+                for n in range(depth(mono) + 1, depth(mono) + 3):
+                    syms = [("L", n)] + [("f", i, n)
+                                         for i in range(fmod.fd.dim)]
+                    assert all(fmod.apply_sym(sym, mono, top) == {}
+                               for sym in syms)
