@@ -8,8 +8,8 @@ import random
 from fractions import Fraction as Q
 
 from torvoa import (HypLattice, exp_vertex_mode, heis_act, hyp_virasoro_mode,
-                    vacuum_vector, voa_axiom_check)
-from torvoa.lattice_fock import random_state
+                    vacuum_vector)
+from torvoa.lattice_fock import random_triples, voa_sweep
 
 
 def show(label, value):
@@ -38,15 +38,9 @@ def main():
 
     print("\nExact axiom sweep (commutator formula, iterated products,")
     print("skew-symmetry) on seeded degree <= 2 triples:")
-    rng = random.Random(4)
-
-    bad = 0
-    for _ in range(8):
-        fails = voa_axiom_check(lat, random_state(lat, rng, 2),
-                                random_state(lat, rng, 2),
-                                random_state(lat, rng, 2), window=2)
-        bad += bool(fails)
-    print(f"  failures: {bad}/8")
+    checked, failures = voa_sweep(
+        lat, random_triples(lat, random.Random(4), 8, 2), 2, 2)
+    print(f"  failures: {len(failures)}/{checked}")
 
 
 if __name__ == "__main__":

@@ -7,7 +7,7 @@ Run:  python demos/03_realization_walkthrough.py
 import random
 from fractions import Fraction as Q
 
-from torvoa import Params, RealizationModule, random_symbol, simple_algebra
+from torvoa import Params, RealizationModule, simple_algebra
 from torvoa.algebra_core import d_sym, dt_sym, k_sym
 from torvoa.linalg import vec_add
 from torvoa.toroidal_realization import relation_check, top_action_check
@@ -45,14 +45,8 @@ def main():
     show("[L(2), L(-2)] on the top", lhs)
 
     print("\nSeeded commutator sweep (the representation property):")
-    rng = random.Random(11)
-    good = 0
-    for _ in range(60):
-        a = random_symbol(params, rng, jmax=2, rmax=1, tags=("g", "k", "d", "dt"))
-        b = random_symbol(params, rng, jmax=2, rmax=1, tags=("g", "k", "d", "dt"))
-        vv = module.random_vector(rng, max_depth=2)
-        good += module.verify_commutator(a, b, vv)
-    print(f"  [a, b] v = a(b v) - b(a v): {good}/60")
+    checked, failures = module.commutator_sweep(random.Random(11), 60, 2, 1, 2)
+    print(f"  [a, b] v = a(b v) - b(a v): {checked - len(failures)}/{checked}")
 
     print("\nStructured sweeps:")
     checked, failures = top_action_check(module, window=2)

@@ -17,7 +17,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .finite_lie_data import SimpleAlgebra
-from .linalg import add_into, merge, vec_add, vec_scale
+from .linalg import add_into, merge, tally, vec_add, vec_scale
 
 Q = Fraction
 
@@ -359,14 +359,16 @@ def bracket_symbols(params: Params, a: BasisSymbol, b: BasisSymbol) -> ToroidalE
     return ToroidalElement(params, _bracket_basis(params, a, b))
 
 
-def jacobi_check(params: Params, a: BasisSymbol, b: BasisSymbol, c: BasisSymbol) -> bool:
-    ea = ToroidalElement.from_symbol(params, a)
-    eb = ToroidalElement.from_symbol(params, b)
-    ec = ToroidalElement.from_symbol(params, c)
-    total = bracket(ea, bracket(eb, ec)) \
+def _jacobiator(params: Params, a: BasisSymbol, b: BasisSymbol, c: BasisSymbol):
+    """[a, [b, c]] + [b, [c, a]] + [c, [a, b]], zero in a Lie algebra."""
+    ea, eb, ec = (ToroidalElement.from_symbol(params, x) for x in (a, b, c))
+    return bracket(ea, bracket(eb, ec)) \
         + bracket(eb, bracket(ec, ea)) \
         + bracket(ec, bracket(ea, eb))
-    return total.is_zero()
+
+
+def jacobi_check(params: Params, a: BasisSymbol, b: BasisSymbol, c: BasisSymbol) -> bool:
+    return _jacobiator(params, a, b, c).is_zero()
 
 
 def random_symbol(params: Params, rng: random.Random, jmax=3, rmax=2,
@@ -385,13 +387,12 @@ def jacobi_sweep(params: Params, rng: random.Random, count, jmax, rmax):
     """Draw ``count`` seeded triples of basis symbols; check the Jacobi
     identity on each triple and antisymmetry on its first two symbols.
 
-    Returns (Jacobi passes, antisymmetry passes).
+    Returns (checked, failures) from ``tally`` for Jacobi, then antisymmetry.
     """
-    good = anti_good = 0
-    for _ in range(count):
-        a, b, c = (random_symbol(params, rng, jmax=jmax, rmax=rmax)
-                   for _ in range(3))
-        good += jacobi_check(params, a, b, c)
-        anti_good += (bracket_symbols(params, a, b)
-                      + bracket_symbols(params, b, a)).is_zero()
-    return good, anti_good
+    triples = [tuple(random_symbol(params, rng, jmax=jmax, rmax=rmax)
+                     for _ in range(3)) for _ in range(count)]
+    return (tally(("jacobi", _jacobiator(params, *t).terms, {}, t)
+                  for t in triples),
+            tally(("antisymmetry", (bracket_symbols(params, a, b)
+                                    + bracket_symbols(params, b, a)).terms,
+                   {}, (a, b)) for a, b, _c in triples))

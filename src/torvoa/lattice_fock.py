@@ -27,7 +27,7 @@ from fractions import Fraction
 from functools import cache
 from math import ceil, factorial
 
-from .linalg import add_into, merge, vec_eq
+from .linalg import add_into, merge, tally
 
 Q = Fraction
 
@@ -379,11 +379,14 @@ def voa_axiom_check(L: HypLattice, a, b, c, window=3, borcherds_window=2):
     (the commutator formula) also at m, n in [-window, window], and of
     skew-symmetry at n in [-window, window].  Sums stop at ``_mode_bound``.
 
-    Returns failure records ("commutator", m, n), ("borcherds", k, m, n)
-    and ("skew", n); empty means all identities hold.  All mode
-    applications are cached, so the sweeps stay table driven.
+    Returns the failures from ``tally``: ("commutator", (m, n)),
+    ("borcherds", (k, m, n)) and ("skew", n); empty means all identities
+    hold.  All mode applications are cached, so the sweeps stay table driven.
     """
-    failures = []
+    return tally(_axiom_cases(L, a, b, c, window, borcherds_window))[1]
+
+
+def _axiom_cases(L, a, b, c, window, borcherds_window):
     bab = _mode_bound(L, a, b)
     bac = _mode_bound(L, a, c)
     bbc = _mode_bound(L, b, c)
@@ -433,13 +436,11 @@ def voa_axiom_check(L: HypLattice, a, b, c, window=3, borcherds_window=2):
             if cf:
                 sgn = Q(-1) if j % 2 else Q(1)
                 add_into(rhs, ab(m + k - j, n + j), sgn * cf)
-        if not vec_eq(lhs, rhs):
-            failures.append(("borcherds", k, m, n) if k
-                            else ("commutator", m, n))
+        yield (("borcherds", lhs, rhs, (k, m, n)) if k
+               else ("commutator", lhs, rhs, (m, n)))
 
     ba_states = {}
     for n in win:
-        lhs = prod(n)
         rhs = {}
         for j in range(0, bab - n):
             if n + j not in ba_states:
@@ -451,9 +452,7 @@ def voa_axiom_check(L: HypLattice, a, b, c, window=3, borcherds_window=2):
                 base = translate(L, base)
             sgn = Q(-1) if (n + j + 1) % 2 else Q(1)
             add_into(rhs, base, sgn / factorial(j))
-        if not vec_eq(lhs, rhs):
-            failures.append(("skew", n))
-    return failures
+        yield "skew", prod(n), rhs, n
 
 
 def random_triples(L: HypLattice, rng, count, max_degree):
@@ -463,7 +462,9 @@ def random_triples(L: HypLattice, rng, count, max_degree):
 
 
 def voa_sweep(L: HypLattice, triples, window, borcherds_window):
-    """Number of triples on which ``voa_axiom_check`` finds a failure."""
-    return sum(1 for a, b, c in triples
-               if voa_axiom_check(L, a, b, c, window=window,
+    """``voa_axiom_check`` on each triple: (checked, failures), a failure
+    being (triple, that triple's failure records)."""
+    checks = ((t, voa_axiom_check(L, *t, window=window,
                                   borcherds_window=borcherds_window))
+              for t in triples)
+    return len(triples), [(t, fails) for t, fails in checks if fails]

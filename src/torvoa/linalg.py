@@ -1,6 +1,7 @@
 """Exact linear algebra over rationals: sparse vectors {key: Fraction},
-and one sparse reduced row echelon kernel (``echelon``) on which the rank,
-``nullspace`` and ``invert`` are built.
+one sparse reduced row echelon kernel (``echelon``) on which the rank,
+``nullspace`` and ``invert`` are built, and the one check counter
+(``tally``).
 
 A sparse vector stores no zero.  ``merge`` and ``add_into`` are the only
 code that adds into one, so every layer's sums keep that rule: an entry
@@ -55,6 +56,18 @@ def vec_scale(a, s):
 
 def vec_eq(a, b):
     return vec_add(a, b, Q(-1)) == {}
+
+
+def tally(cases):
+    """Count (label, got, want, data) cases; return (checked, failures),
+    each failure the (label, data) of a case with got != want.  The one
+    code that compares the two sides of a check and records a failure."""
+    checked, failures = 0, []
+    for label, got, want, data in cases:
+        checked += 1
+        if not vec_eq(got, want):
+            failures.append((label, data))
+    return checked, failures
 
 
 def echelon(rows):

@@ -20,9 +20,7 @@ Virasoro fields of the second tensor factor.  The plans implement
 and the plain vector fields through the invertible shift to the dt basis.
 
 Every check in the module yields (label, got, want, data) cases into
-``_tally``, the one place that counts a check and records a failure: it
-returns (checked, failures), where each failure is the (label, data) of a
-case whose two vectors differ, and data names the failing witness.
+``linalg.tally`` and returns its (checked, failures).
 """
 
 from __future__ import annotations
@@ -41,7 +39,7 @@ from .finite_lie_data import (FiniteModule, GLModule, ReductiveF,
 from .lattice_fock import (HypLattice, _canon, _canon_vec, _exp_term,
                            _insert_osc, coset_point, falling, fock_depth,
                            heis_act_gen, hyp_virasoro_mode, random_osc)
-from .linalg import add_into, merge, vec_add, vec_eq, vec_scale
+from .linalg import add_into, merge, tally, vec_add, vec_eq, vec_scale
 from .virasoro_affine import (CentralCharacter, FModule, depth,
                               sugawara_constants)
 
@@ -301,8 +299,9 @@ class RealizationModule:
     def commutator_sweep(self, rng: random.Random, count, jmax, rmax,
                          max_depth):
         """Draw ``count`` seeded (a, b, v): two generators of the full
-        algebra and a basis vector of depth <= max_depth; return how many
-        satisfy [a, b] v = a (b v) - b (a v)."""
+        algebra and a basis vector of depth <= max_depth; check
+        [a, b] v = a (b v) - b (a v) on each and return (checked, failures)
+        from ``tally``."""
         tags = ("g", "k", "d", "dt")
 
         def cases():
@@ -314,8 +313,7 @@ class RealizationModule:
                 v = self.random_vector(rng, max_depth=max_depth)
                 yield ("commutator", *self._commutator_sides(a, b, v),
                        (a, b, v))
-        checked, failures = _tally(cases())
-        return checked - len(failures)
+        return tally(cases())
 
     def weight_of(self, vec):
         """Exact (d_0, d_1, .., d_N) eigenvalues; raises on non-eigenvectors."""
@@ -359,17 +357,6 @@ class RealizationModule:
         m = tuple(rng.randint(-1, 1) for _ in range(self.params.N))
         fk = (osc, self.lattice_point(m))
         return {(fk, (mono, top)): Q(1)}
-
-
-def _tally(cases):
-    """Count (label, got, want, data) cases; return (checked, failures),
-    each failure the (label, data) of a case with got != want."""
-    checked, failures = 0, []
-    for label, got, want, data in cases:
-        checked += 1
-        if not vec_eq(got, want):
-            failures.append((label, data))
-    return checked, failures
 
 
 # ---------------------------------------------------------------------------
@@ -525,7 +512,7 @@ def field_commutator_window_check(module: RealizationModule, window=3,
     """Check the displayed field commutators mode by mode on sample vectors,
     by default for every pair of multi-indices r, m in {-1, 0, 1}^N.
 
-    Returns (checked, failures) from ``_tally``; a failure's data is the
+    Returns (checked, failures) from ``tally``; a failure's data is the
     two mode symbols and the vector.
     """
     params = module.params
@@ -554,7 +541,7 @@ def field_commutator_window_check(module: RealizationModule, window=3,
                             rhs = module.g_act(rhs_mode_element(
                                 params, akind, r, bkind, m, i, jj), vec)
                             yield name, lhs, rhs, (asyms[i], bsyms[jj], vec)
-    return _tally(cases())
+    return tally(cases())
 
 
 # ---------------------------------------------------------------------------
@@ -564,9 +551,9 @@ def field_commutator_window_check(module: RealizationModule, window=3,
 def top_action_check(module: RealizationModule, window=2, m_window=1):
     """Degree-zero generators on the top: shift and tensor-action formulas.
 
-    Returns (checked, failures) from ``_tally``.
+    Returns (checked, failures) from ``tally``.
     """
-    return _tally(_top_action_cases(module, window, m_window))
+    return tally(_top_action_cases(module, window, m_window))
 
 
 def _top_action_cases(module, window, m_window):
@@ -619,21 +606,11 @@ def _top_action_cases(module, window, m_window):
                 vec = module.top_vector(m)
                 mr = tuple(x + y for x, y in zip(m, r))
                 shift = module.top_vector(mr)
-                yield ("top-k0", module.g_act_symbol(k_sym(p, 0, r, 0), vec),
-                       vec_scale(shift, c), (r, m))
                 yield ("top-dt0", module.g_act_symbol(dt_sym(p, 0, r, 0), vec),
                        {}, (r, m))
-                yield ("top-d0", module.g_act_symbol(d_sym(p, 0, r, 0), vec),
-                       vec_scale(shift, (p.mu + p.nu) * c / 2), (r, m))
-                for gi in range(p.g_dot.dim):
-                    yield ("top-g", module.g_act_symbol(g_sym(p, 0, r, gi), vec),
-                           {}, (gi, r, m))
                 for jd in range(1, N + 1):
                     yield ("top-dt", module.g_act_symbol(dt_sym(p, 0, r, jd), vec),
                            vec_scale(shift, Q(m[jd - 1])), (jd, r, m))
-                    yield ("top-d", module.g_act_symbol(d_sym(p, 0, r, jd), vec),
-                           vec_scale(shift, Q(m[jd - 1]) + p.nu * c * r[jd - 1]),
-                           (jd, r, m))
 
 
 # ---------------------------------------------------------------------------
@@ -665,13 +642,13 @@ def relation_check(module: RealizationModule, relation_id: str):
     The two vanishing statements 'vir-lowering' (first part) and 'vir-depth2'
     hold after the translation-null reduction and are checked on the vacuum
     companion; everything else runs on the module as given.
-    Returns (checked, failures) from ``_tally``.
+    Returns (checked, failures) from ``tally``.
     """
     if relation_id not in RELATION_IDS:
         raise ConfigError(f"unknown relation id {relation_id!r}")
     if not module.is_standard_top():
         raise ConfigError("relation checks need the standard top")
-    return _tally(_relation_cases(module, relation_id))
+    return tally(_relation_cases(module, relation_id))
 
 
 def _pairing_probes(p, relation_id, a, r, m, s):

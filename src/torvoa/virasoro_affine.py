@@ -37,7 +37,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .finite_lie_data import FiniteModule, GLModule, ReductiveF, ValidationError
-from .linalg import add_into, merge, nullspace, vec_add, vec_eq, vec_scale
+from .linalg import add_into, merge, nullspace, tally, vec_add, vec_scale
 
 Q = Fraction
 
@@ -457,7 +457,7 @@ def sugawara_sweep(module: FModule, c_prime, window, vecs, ncommute):
     ``vecs``, and its commutation with every current on the first
     ``ncommute`` of them, for all modes n, m in [-window, window].
 
-    Returns (Virasoro relations hold, commutation holds).
+    Returns (checked, failures) from ``tally`` for each of the two.
     """
     modes = range(-window, window + 1)
 
@@ -468,12 +468,15 @@ def sugawara_sweep(module: FModule, c_prime, window, vecs, ncommute):
         want = vec_scale(L(n + m, v), n - m) if n != m else {}
         if n == -m:
             want = vec_add(want, v, Q(n ** 3 - n, 12) * c_prime)
-        return vec_eq(vec_add(L(n, L(m, v)), L(m, L(n, v)), Q(-1)), want)
+        return ("virasoro", vec_add(L(n, L(m, v)), L(m, L(n, v)), Q(-1)),
+                want, (n, m, v))
 
     def commutes(idx, n, m, v):
         f = ("f", idx, m)
-        return vec_eq(L(n, module.act(f, v)), module.act(f, L(n, v)))
+        return ("commutes", L(n, module.act(f, v)), module.act(f, L(n, v)),
+                (idx, n, m, v))
 
-    return (all(virasoro(n, m, v) for n in modes for m in modes for v in vecs),
-            all(commutes(idx, n, m, v) for idx in range(module.fd.dim)
-                for n in modes for m in modes for v in vecs[:ncommute]))
+    return (tally(virasoro(n, m, v) for n in modes for m in modes
+                  for v in vecs),
+            tally(commutes(idx, n, m, v) for idx in range(module.fd.dim)
+                  for n in modes for m in modes for v in vecs[:ncommute]))

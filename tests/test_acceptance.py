@@ -45,13 +45,10 @@ def _report(cid, ok, detail=""):
 def test_ac1_jacobi(params_n1, params_n2):
     t0 = time.time()
     rng = random.Random(SEED)
-    good = 0
-    total = 0
-    for params in (params_n1, params_n2):
-        good += jacobi_sweep(params, rng, 250, 3, 2)[0]
-        total += 250
-    ok = good == total == 500
-    assert _report("AC-1", ok, f"{good}/{total} triples, {time.time()-t0:.1f}s")
+    sweeps = [jacobi_sweep(params, rng, 250, 3, 2)
+              for params in (params_n1, params_n2)]
+    ok = sweeps == [((250, []), (250, []))] * 2
+    assert _report("AC-1", ok, f"2 x 250 triples, {time.time()-t0:.1f}s")
 
 
 def test_ac2_field_relations(module_n1, module_n2):
@@ -75,8 +72,8 @@ def test_ac3_voa_axioms():
     t0 = time.time()
     lat = HypLattice(1)
     rng = random.Random(SEED)
-    bad = voa_sweep(lat, random_triples(lat, rng, 50, 3), 3, 2)
-    assert _report("AC-3", bad == 0, f"50 triples, {time.time()-t0:.1f}s")
+    ok = voa_sweep(lat, random_triples(lat, rng, 50, 3), 3, 2) == (50, [])
+    assert _report("AC-3", ok, f"50 triples, {time.time()-t0:.1f}s")
 
 
 def test_ac4_sugawara(module_n2):
@@ -86,30 +83,25 @@ def test_ac4_sugawara(module_n2):
     assert c_prime == Q(75, 14)
     rng = random.Random(SEED)
     vecs = sugawara_test_vectors(fmod, rng, 4)
-    ok = all(sugawara_sweep(fmod, c_prime, 2, vecs, 6))
+    ok = sugawara_sweep(fmod, c_prime, 2, vecs, 6) == (
+        (25 * len(vecs), []), (25 * fmod.fd.dim * 6, []))
     assert _report("AC-4", ok,
                    f"{len(vecs)} vectors, window 2, {time.time()-t0:.1f}s")
 
 
 def test_ac5_representation_property(module_n2, module_n2_natural):
     t0 = time.time()
-    ok = True
-    for module in (module_n2, module_n2_natural):
-        rng = random.Random(SEED)
-        if module.commutator_sweep(rng, 200, 2, 1, 2) != 200:
-            ok = False
+    ok = all(module.commutator_sweep(random.Random(SEED), 200, 2, 1, 2)
+             == (200, []) for module in (module_n2, module_n2_natural))
     assert _report("AC-5", ok, f"2 x 200 pairs, {time.time()-t0:.1f}s")
 
 
 def test_ac6_top_action(module_n1, module_n2, module_n2_natural):
     t0 = time.time()
-    total, bad = 0, 0
-    for module, window in ((module_n1, 2), (module_n2, 2),
-                           (module_n2_natural, 2)):
-        checked, failures = top_action_check(module, window=window)
-        total += checked
-        bad += len(failures)
-    ok = bad == 0
+    sweeps = [top_action_check(module, window=2)
+              for module in (module_n1, module_n2, module_n2_natural)]
+    ok = all(checked and not failures for checked, failures in sweeps)
+    total = sum(checked for checked, _failures in sweeps)
     assert _report("AC-6", ok, f"{total} checks, {time.time()-t0:.1f}s")
 
 

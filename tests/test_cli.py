@@ -5,9 +5,9 @@ from fractions import Fraction as Q
 
 import pytest
 
-from torvoa import SpecFileError, parse_spec, run
-from torvoa.cli import (COMMANDS, build_context, main, render_report,
-                        report_passed)
+from torvoa import RealizationModule, SpecFileError, parse_spec, run
+from torvoa.cli import (COMMANDS, _WITNESS_CHARS, _count_check, build_context,
+                        main, render_report, report_passed)
 
 MINIMAL = """\
 # reference data, distinguished top
@@ -195,6 +195,26 @@ class TestRun:
         by_id = {c["id"]: c["details"] for c in report["checks"]}
         assert by_id["jacobi"] == "500/500"
         assert by_id["antisymmetry"] == "500/500"
+
+    def test_failing_check_names_its_witness(self, monkeypatch):
+        # double the action of every k_0 generator: the first top-action
+        # case, t^r k_0 on q^m at r = -2, m = -1, gives 2c instead of c
+        plan = RealizationModule.realize_plan
+        monkeypatch.setattr(
+            RealizationModule, "realize_plan",
+            lambda self, sym: [(2 * cf if sym.tag == "k" and sym.idx == 0
+                                else cf, fs, e) for cf, fs, e in plan(self, sym)])
+        text = MINIMAL.replace('command = "char"',
+                               'command = "verify-realization"')
+        by_id = {c["id"]: c["details"] for c in run(parse_spec(text))["checks"]
+                 if c["status"] == "fail"}
+        assert by_id["realization:top-action"] == (
+            "93/135; first failure k0-shift: ((-2,), (-1,), 0, 0)")
+
+    def test_witness_is_cut(self):
+        details = _count_check("x", 3, [("long", "y" * 1000)])["details"]
+        assert details.startswith("2/3; first failure long: 'yyy")
+        assert len(details) == len("2/3") + _WITNESS_CHARS
 
     def test_fields_command_small_window(self):
         text = MINIMAL.replace('command = "char"', 'command = "verify-fields"')

@@ -9,8 +9,8 @@ from torvoa import (HypLattice, RealizationModule, build_gl_module,
                     voa_axiom_check)
 from torvoa.algebra_core import random_symbol
 from torvoa.lattice_fock import (_exp_term, _insert_osc, _term_apply,
-                                 coset_point, heis_act_gen, random_state,
-                                 random_triples, state_degree, translate)
+                                 coset_point, heis_act_gen, random_triples,
+                                 state_degree, translate, voa_sweep)
 from torvoa.linalg import vec_add
 
 
@@ -136,7 +136,7 @@ class TestMemo:
     def test_each_exponential_stored_once(self, params_n1):
         # a fresh module, so its lattice memo tables start cold
         module = RealizationModule(params_n1)
-        assert module.commutator_sweep(random.Random(7), 4, 2, 1, 2) == 4
+        assert module.commutator_sweep(random.Random(7), 4, 2, 1, 2) == (4, [])
         L = module.lat
         assert L._exp_cache and L._field_cache
         # the empty chain is the exponential or the identity: never a
@@ -205,7 +205,7 @@ class TestKeyForm:
             rng = random.Random(seed)
             _check_realization(module.top_vector())
             _check_realization(module.random_vector(random.Random(seed)))
-            assert module.commutator_sweep(rng, 4, 2, 1, 2) == 4
+            assert module.commutator_sweep(rng, 4, 2, 1, 2) == (4, [])
             self._check_realization_memo(module)
         L = HypLattice(1)
         triple = random_triples(L, random.Random(11), 1, 2)[0]
@@ -394,17 +394,12 @@ class TestAxioms:
         emu = vacuum_vector(lat1, m=(-1,))
         ones = vacuum_vector(lat1)
         u1 = osc_vec(lat1, [(0, -1)])
-        for a, b, c in ((eu, ev, ones), (ev, eu, u1), (ev, ev, eu),
-                        (euv, emu, ones)):
-            assert voa_axiom_check(lat1, a, b, c, window=2) == []
+        triples = [(eu, ev, ones), (ev, eu, u1), (ev, ev, eu), (euv, emu, ones)]
+        assert voa_sweep(lat1, triples, 2, 2) == (4, [])
 
     def test_seeded_batch(self, lat1):
-        rng = random.Random(424)
-
-        for _ in range(6):
-            a, b, c = (random_state(lat1, rng, 2), random_state(lat1, rng, 2),
-                       random_state(lat1, rng, 2))
-            assert voa_axiom_check(lat1, a, b, c, window=2) == []
+        triples = random_triples(lat1, random.Random(424), 6, 2)
+        assert voa_sweep(lat1, triples, 2, 2) == (6, [])
 
     def test_negative_norm_states(self, lat1):
         # e^{u-v} and e^{2u-v} have negative norm, so conformal weight is no
@@ -414,8 +409,8 @@ class TestAxioms:
         eu = vacuum_vector(lat1, m=(1,))
         ev = vacuum_vector(lat1, beta=(1,))
         ones = vacuum_vector(lat1)
-        for a, b, c in ((euv, euv, ones), (e2uv, ev, eu)):
-            assert voa_axiom_check(lat1, a, b, c, window=3) == []
+        triples = [(euv, euv, ones), (e2uv, ev, eu)]
+        assert voa_sweep(lat1, triples, 3, 2) == (2, [])
 
     def test_unsigned_lattice_fails_outside_borcherds_window(self):
         # without the sign cocycle Y(e^u, z) and Y(e^v, z) are not local;
@@ -430,4 +425,5 @@ class TestAxioms:
         ev = vacuum_vector(lat, beta=(1,))
         failures = voa_axiom_check(lat, eu, ev, vacuum_vector(lat), window=3,
                                    borcherds_window=2)
-        assert [f for f in failures if f[:2] == ("commutator", -3)]
+        assert [data for label, data in failures
+                if label == "commutator" and data[0] == -3]

@@ -495,7 +495,8 @@ class TestHeldOnce:
         fmod = module.fmod
         c_prime, _h = module.sugawara_constants()
         vecs = sugawara_test_vectors(fmod, random.Random(1), 3)
-        assert all(sugawara_sweep(fmod, c_prime, 2, vecs, 4))
+        assert sugawara_sweep(fmod, c_prime, 2, vecs, 4) == (
+            (25 * len(vecs), []), (25 * fmod.fd.dim * 4, []))
         vac = module.vacuum_companion().fmod
         for d in range(1, 4):
             singular_vectors(vac, d)
