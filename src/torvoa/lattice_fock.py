@@ -4,12 +4,12 @@ exponential vertex operators, and exact normally ordered field modes.
 Lattice vectors are tuples of 2N rationals: the first N coordinates are
 along the isotropic generators u_1..u_N, the last N along v_1..v_N, with
 (u_i|v_j) = delta_ij and (u|u) = (v|v) = 0.  In a key, an integral
-coordinate or z-exponent is an int and only a non-integral one a Fraction
-(``_canon``); both forms are equal and hash-equal, so callers may pass
-either.  Coefficients are always Fractions.  A Fock vector is a dict
-{(osc, lat): coefficient} where osc is a sorted tuple of (generator, mode)
-pairs with negative modes, and lat is the lattice point of the coset
-e^{(alpha+m)u + beta v}.
+coordinate or z-exponent is an int and a non-integral one the interned
+Fraction that ``_canon`` returns, which computes its hash once; both forms
+equal the plain value with the same hash, so callers may pass either.  A
+Fock vector is a dict {(osc, lat): Fraction} where osc is a sorted tuple
+of (generator, mode) pairs with negative modes, and lat is the lattice
+point of the coset e^{(alpha+m)u + beta v}.
 
 Fields are handled by z-exponent: the coefficient of z^e in a field F(z) is
 written F[e]; for an oscillator field x(z) = sum x(j) z^(-j-1) the creation
@@ -18,27 +18,64 @@ product splits the left factor accordingly.
 
 Every field mode goes through ``field_mode`` and its memoized engine
 ``_term_apply``.  Each exponential is memoized once, in ``_exp_cache``;
-``_field_cache`` holds only products with an oscillator factor.
+``_field_cache`` holds only products with an oscillator factor.  The engine
+computes in ints: an entry of either table is (den, {key: numerator}), a
+positive int denominator over nonzero int numerators, and ``field_mode``
+builds one Fraction per output coefficient.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import cache
-from math import ceil, factorial
+from math import ceil, factorial, lcm
 
 from .linalg import add_into, merge, tally
 
 Q = Fraction
 
 
+class _KeyFraction(Fraction):
+    """A non-integral key coordinate or exponent.  ``_canon`` makes one per
+    value and stores its hash, which memo lookups would otherwise compute
+    again for every key that holds it."""
+
+    __slots__ = ("_hash",)
+
+    def __hash__(self):
+        return self._hash
+
+    def __repr__(self):
+        return f"Fraction({self._numerator}, {self._denominator})"
+
+    def __reduce__(self):
+        return _canon, (Fraction(self._numerator, self._denominator),)
+
+    def __copy__(self):
+        return self
+
+    def __deepcopy__(self, memo):
+        return self
+
+
+_INTERNED = {}
+
+
 def _canon(x):
     """The key form of a rational coordinate or exponent: an int when x is
-    integral, else a Fraction."""
-    if type(x) is int:
+    integral, else the one ``_KeyFraction`` of its value."""
+    if type(x) is int or type(x) is _KeyFraction:
         return x
-    x = Q(x)
-    return x.numerator if x.denominator == 1 else x
+    if not isinstance(x, Fraction):
+        x = Q(x)
+    n, d = x.numerator, x.denominator
+    if d == 1:
+        return n
+    hit = _INTERNED.get((n, d))
+    if hit is None:
+        hit = _INTERNED[n, d] = Fraction.__new__(_KeyFraction, n, d)
+        hit._hash = Fraction.__hash__(hit)
+    return hit
 
 
 def _canon_vec(v):
@@ -53,9 +90,10 @@ def falling(a, k):
 
 
 def binom(a, k):
+    """The binomial coefficient of an int a, as an int."""
     if k < 0:
         return 0
-    return Q(falling(a, k), factorial(k))
+    return falling(a, k) // factorial(k)
 
 
 class HypLattice:
@@ -74,14 +112,24 @@ class HypLattice:
 
     def form(self, x, y):
         N = self.N
-        return sum(x[p] * y[N + p] + x[N + p] * y[p] for p in range(N))
+        out = 0
+        for p, a in enumerate(x):
+            if a:
+                b = y[p + N] if p < N else y[p - N]
+                if b:
+                    out += a * b
+        return out
 
     def epsilon(self, x, y):
         """Sign cocycle: epsilon(v_i, u_j) = (-1)^delta_ij on generators,
         extended bimultiplicatively.  Arguments need integer coordinates on
         the contributing directions."""
         N = self.N
-        expo = sum(x[N + p] * y[p] for p in range(N))
+        expo = 0
+        for p in range(N):
+            a = x[N + p]
+            if a and y[p]:
+                expo += a * y[p]
         if expo.denominator != 1:
             raise ValueError("sign cocycle undefined on non-integral overlap")
         return -1 if int(expo) % 2 else 1
@@ -137,6 +185,13 @@ def random_state(L: HypLattice, rng, max_degree):
     return {(osc, coset_point(L, (0,) * L.N, m)): Q(1)}
 
 
+def _reading(L: HypLattice, g, x):
+    """The pairing of the g-th generator with x: the reading of its zero
+    mode on e^x."""
+    N = L.N
+    return x[N + g] if g < N else x[g - N]
+
+
 def heis_act_gen(L: HypLattice, g: int, n: int, vec):
     """Action of the mode n of the g-th oscillator generator."""
     N = L.N
@@ -147,8 +202,7 @@ def heis_act_gen(L: HypLattice, g: int, n: int, vec):
         return out
     if n == 0:
         for (osc, lat), cf in vec.items():
-            reading = lat[N + g] if g < N else lat[g - N]
-            merge(out, (osc, lat), cf * reading)
+            merge(out, (osc, lat), cf * _reading(L, g, lat))
         return out
     partner = g + N if g < N else g - N
     for (osc, lat), cf in vec.items():
@@ -173,16 +227,22 @@ def heis_act(L: HypLattice, x, n: int, vec):
 # exponential vertex operators
 # ---------------------------------------------------------------------------
 
+@cache
 def _creation_terms(ycomps, ec):
-    """Expansion of exp(sum_{j>=1} y(-j) z^j / j) at order z^ec.
+    """Expansion of exp(sum_{j>=1} y(-j) z^j / j) at order z^ec, for the
+    nonzero components ycomps ((g, comp), ...) of y.
 
-    Yields (coefficient, tuple of (g, -j) oscillator insertions).
+    Returns (den, ((num, insertions), ...)): each term is num / den times
+    the oscillators ``insertions`` ((g, -j), ...), listed in ``_insert_osc``
+    order.  den is the lcm of the terms' denominators.  It divides ec! when
+    y is integral (n!/z_lambda is an integer), but y may be half-integral.
     """
     parts = [(g, comp, j) for j in range(1, ec + 1) for (g, comp) in ycomps]
+    terms = []
 
     def rec(i, left, coeff, acc):
         if left == 0:
-            yield coeff, tuple(acc)
+            terms.append((coeff, tuple(acc)))
             return
         if i >= len(parts):
             return
@@ -191,56 +251,64 @@ def _creation_terms(ycomps, ec):
         unit = Q(comp, j)
         c = coeff
         while True:
-            yield from rec(i + 1, left - count * j, c, acc + [(g, -j)] * count)
+            rec(i + 1, left - count * j, c, acc + [(g, -j)] * count)
             count += 1
             if count * j > left:
                 break
             c = c * unit / count
 
-    if ec == 0:
-        yield Q(1), ()
-    else:
-        yield from rec(0, ec, Q(1), [])
+    rec(0, ec, Q(1), [])
+    den = lcm(*(c.denominator for c, _ins in terms))
+    return den, tuple((c.numerator * (den // c.denominator), ins)
+                      for c, ins in terms)
+
+
+def _osc_order(entry):
+    """Sort key of an oscillator entry in ``_insert_osc`` order."""
+    g, mode = entry
+    return -mode, g
 
 
 def _exp_term(L: HypLattice, y, e, osc, lat):
-    """Coefficient of z^e in Y(e^y, z) applied to one basis monomial."""
+    """Coefficient of z^e in Y(e^y, z) applied to one basis monomial, as
+    (den, {key: numerator})."""
     key = (y, e, osc, lat)
     hit = L._exp_cache.get(key)
     if hit is not None:
         return hit
-    xi = L.form(y, lat)
-    k = e - xi
-    out = {}
+    k = e - L.form(y, lat)
+    den, out = 1, {}
     if k.denominator == 1:
-        sign = Q(L.epsilon(y, lat))
-        new_lat = _canon_vec(a + b for a, b in zip(lat, y))
-        N = L.N
-        pairables = [(pos, y[g + N] if g < N else y[g - N])
-                     for pos, (g, _mode) in enumerate(osc)]
-        pairables = [(pos, pr) for pos, pr in pairables if pr != 0]
-        ycomps = [(g, comp) for g, comp in enumerate(y) if comp]
-
-        def rec(i, chosen, coeff, zshift):
-            if i == len(pairables):
-                ec = int(k) - zshift
-                if ec < 0:
-                    return
-                core = tuple(entry for pos, entry in enumerate(osc) if pos not in chosen)
-                for ccf, created in _creation_terms(ycomps, ec):
-                    newosc = core
-                    for g, mode in created:
-                        newosc = _insert_osc(newosc, g, mode)
-                    merge(out, (newosc, new_lat), sign * coeff * ccf)
-                return
-            pos, pr = pairables[i]
-            rec(i + 1, chosen, coeff, zshift)
-            mode = osc[pos][1]
-            rec(i + 1, chosen | {pos}, coeff * (-pr), zshift + mode)
-
-        rec(0, frozenset(), Q(1), 0)
-    L._exp_cache[key] = out
-    return out
+        # each oscillator stays, or pairs with the annihilation part of the
+        # exponential for -(y|g) z^mode, which raises the creation order ec
+        branches = [((), L.epsilon(y, lat), int(k))]
+        for entry in osc:
+            g, mode = entry
+            pr = _reading(L, g, y)
+            grown = []
+            for kept, cf, ec in branches:
+                grown.append((kept + (entry,), cf, ec))
+                if pr:
+                    grown.append((kept, -pr * cf, ec - mode))
+            branches = grown
+        ycomps = tuple((g, comp) for g, comp in enumerate(y) if comp)
+        parts = [(kept, cf, *_creation_terms(ycomps, ec))
+                 for kept, cf, ec in branches if ec >= 0]
+        den = lcm(*(cden * cf.denominator for _kept, cf, cden, _t in parts))
+        # lat + y: only the coordinates y moves change
+        new_lat = list(lat)
+        for i, b in enumerate(y):
+            if b:
+                new_lat[i] = _canon(lat[i] + b)
+        new_lat = tuple(new_lat)
+        for kept, cf, cden, created in parts:
+            scale = cf.numerator * (den // (cden * cf.denominator))
+            for num, ins in created:
+                newosc = (tuple(sorted(kept + ins, key=_osc_order))
+                          if kept and ins else kept + ins)
+                merge(out, (newosc, new_lat), scale * num)
+    hit = L._exp_cache[key] = (den, out)
+    return hit
 
 
 def exp_vertex_mode(L: HypLattice, y, exponent, vec):
@@ -266,16 +334,40 @@ def hyp_virasoro_mode(L: HypLattice, m: int, vec):
     return out
 
 
-def _factor_at(L, factor, e, vec):
+def _factor_at(L, factor, e, den, nums):
+    """The z^e coefficient of one oscillator factor on nums / den, a
+    nonzero numerator vector whose keys share one lattice point, as
+    (den, numerators)."""
     _, g, nd = factor
     j = -e - 1 - nd
     cf = binom(-j - 1, nd)
-    if cf == 0:
-        return {}
-    res = heis_act_gen(L, g, j, vec)
-    if cf == 1:
-        return res
-    return {k: cf * v for k, v in res.items()}
+    if j:
+        if not cf:
+            return den, {}
+        res = heis_act_gen(L, g, j, nums)
+        return den, (res if cf == 1 else {k: cf * v for k, v in res.items()})
+    # the zero mode reads the shared point; only a non-integral reading adds
+    # a denominator
+    cf *= _reading(L, g, next(iter(nums))[1])
+    if not cf:
+        return den, {}
+    return (den * cf.denominator,
+            {k: cf.numerator * v for k, v in nums.items()})
+
+
+def _add_over(out, den, pden, piece, scale=1):
+    """out / den += scale * piece / pden for int numerator vectors, in place
+    over lcm(den, pden); returns that denominator."""
+    if not piece:
+        return den
+    if den % pden:
+        grown = lcm(den, pden)
+        up = grown // den
+        for k in out:
+            out[k] *= up
+        den = grown
+    add_into(out, piece, scale * (den // pden))
+    return den
 
 
 def _term_min_exponent(L, factors, expy, osc, lat):
@@ -284,34 +376,36 @@ def _term_min_exponent(L, factors, expy, osc, lat):
 
 
 def _term_apply(L, factors, expy, osc, lat, e):
-    """One basis monomial through the suffix product at one exponent.  The
-    empty chain is the exponential (memoized by ``_exp_term``) or the
-    identity; longer chains are cached here, so sweeps share repeated work."""
+    """One basis monomial through the suffix product at one exponent, as
+    (den, {key: numerator}).  The empty chain is the exponential (memoized
+    by ``_exp_term``) or the identity; longer chains are cached here, so
+    sweeps share repeated work."""
     if not factors:
         if expy is not None:
             return _exp_term(L, expy, e, osc, lat)
-        return {(osc, lat): Q(1)} if e == 0 else {}
+        return (1, {(osc, lat): 1}) if e == 0 else (1, {})
     key = (factors, expy, osc, lat, e)
     hit = L._field_cache.get(key)
     if hit is not None:
         return hit
     F, rest = factors[0], factors[1:]
-    term = {(osc, lat): Q(1)}
-    out = {}
+    den, out = 1, {}
     # the annihilation part of the leftmost factor (exponents below 0) acts
     # first; on this monomial it vanishes below -1 - depth - nderiv
     for e1 in range(-1, -2 - fock_depth(osc) - F[2], -1):
-        for (osc2, lat2), cf in _factor_at(L, F, e1, term).items():
-            add_into(out, _term_apply(L, rest, expy, osc2, lat2, e - e1), cf)
+        aden, ann = _factor_at(L, F, e1, 1, {(osc, lat): 1})
+        for (osc2, lat2), cf in ann.items():
+            pden, piece = _term_apply(L, rest, expy, osc2, lat2, e - e1)
+            den = _add_over(out, den, pden * aden, piece, cf)
     lo = _term_min_exponent(L, rest, expy, osc, lat)
     e1 = 0
     while e - e1 >= lo:
-        inner = _term_apply(L, rest, expy, osc, lat, e - e1)
+        iden, inner = _term_apply(L, rest, expy, osc, lat, e - e1)
         if inner:
-            add_into(out, _factor_at(L, F, e1, inner))
+            den = _add_over(out, den, *_factor_at(L, F, e1, iden, inner))
         e1 += 1
-    L._field_cache[key] = out
-    return out
+    hit = L._field_cache[key] = (den, out)
+    return hit
 
 
 def field_mode(L: HypLattice, factors, expy, exponent, vec):
@@ -323,8 +417,10 @@ def field_mode(L: HypLattice, factors, expy, exponent, vec):
     out = {}
     e = _canon(exponent)
     for (osc, lat), cf in vec.items():
-        add_into(out, _term_apply(L, factors, expy, osc, _canon_vec(lat), e),
-                 cf)
+        den, nums = _term_apply(L, factors, expy, osc, _canon_vec(lat), e)
+        num, den = cf.numerator, cf.denominator * den
+        for k, v in nums.items():
+            merge(out, k, Q(v * num, den))
     return out
 
 

@@ -237,9 +237,10 @@ class RealizationModule:
         (osc, lat), (mono, top) = fk, fkey
         out = {}
         if ffac is None:
-            for fk2, cf in lattice_fock._term_apply(self.lat, fock, expy, osc,
-                                                    lat, e).items():
-                out[(fk2, fkey)] = cf
+            den, nums = lattice_fock._term_apply(self.lat, fock, expy, osc,
+                                                 lat, e)
+            for fk2, num in nums.items():
+                out[(fk2, fkey)] = Q(num, den)
         else:
             # an M_f field of weight w kills depth-d monomials below z^(-d-w);
             # the Fock product vanishes below its minimal exponent
@@ -247,15 +248,16 @@ class RealizationModule:
             hi = e - lattice_fock._term_min_exponent(self.lat, fock, expy,
                                                      osc, lat)
             for e2 in range(lo, floor(hi) + 1):
-                fpart = lattice_fock._term_apply(self.lat, fock, expy, osc,
-                                                 lat, e - e2)
+                den, fpart = lattice_fock._term_apply(self.lat, fock, expy,
+                                                      osc, lat, e - e2)
                 if not fpart:
                     continue
                 sym = (("L", -e2 - 2) if ffac[0] == "fvir"
                        else ("f", ffac[1], -e2 - 1))
                 for fkey2, c2 in self.fmod.apply_sym(sym, mono, top).items():
+                    num, d = c2.numerator, c2.denominator * den
                     for fk2, c1 in fpart.items():
-                        merge(out, (fk2, fkey2), c1 * c2)
+                        merge(out, (fk2, fkey2), Q(c1 * num, d))
         self._term_cache[key] = out
         return out
 
@@ -292,9 +294,6 @@ class RealizationModule:
         rhs = vec_add(self.g_act_symbol(a, self.g_act_symbol(b, vec)),
                       self.g_act_symbol(b, self.g_act_symbol(a, vec)), Q(-1))
         return lhs, rhs
-
-    def verify_commutator(self, a: BasisSymbol, b: BasisSymbol, vec) -> bool:
-        return vec_eq(*self._commutator_sides(a, b, vec))
 
     def commutator_sweep(self, rng: random.Random, count, jmax, rmax,
                          max_depth):

@@ -1,10 +1,14 @@
-"""The CLI's reports on demos/reference.torvoa, byte for byte.
+"""The CLI's reports on its run files, byte for byte.
 
 The files under tests/golden/ are the reports as first recorded; a change
-that alters any report or exit status fails here.  verify-voa is left out
-because one run takes 15-24 s on a shared 2-vCPU host (Python 3.11); its
-Borcherds window is fixed at 2, whatever the run file's window.  A CI step
-outside Tier-1 diffs its report against golden/verify-voa.json.
+that alters any report or exit status fails here.  A report is made from
+the run file of the same name next to it, or else from
+demos/reference.torvoa, with the command replaced in either case.
+verify-realization-n2-natural.torvoa puts the natural tops at N = 2 on
+half-integral lattice points.  verify-voa is left out because one run
+takes 15-24 s on a shared 2-vCPU host (Python 3.11); its Borcherds window
+is fixed at 2, whatever the run file's window.  A CI step outside Tier-1
+diffs its report against golden/verify-voa.json.
 """
 
 from pathlib import Path
@@ -14,7 +18,7 @@ import pytest
 from torvoa.cli import main
 
 ROOT = Path(__file__).resolve().parents[1]
-REFERENCE = (ROOT / "demos" / "reference.torvoa").read_text(encoding="utf-8")
+GOLDEN = ROOT / "tests" / "golden"
 
 # (command, extra flags, golden file, exit status)
 CASES = [
@@ -24,18 +28,22 @@ CASES = [
     ("singular", [], "singular.json", 0),
     ("char", [], "char.json", 1),
     ("verify-fields", ["--window", "1"], "verify-fields-window1.json", 0),
+    ("verify-realization", [], "verify-realization-n2-natural.json", 0),
 ]
 
 
 @pytest.mark.parametrize("command, flags, golden, status", CASES)
 def test_report_matches_golden(command, flags, golden, status, tmp_path,
                                capsys):
+    runfile = (GOLDEN / golden).with_suffix(".torvoa")
+    if not runfile.exists():
+        runfile = ROOT / "demos" / "reference.torvoa"
+    lines = runfile.read_text(encoding="utf-8").splitlines(keepends=True)
     path = tmp_path / "run.torvoa"
-    path.write_text(REFERENCE.replace('command = "char"',
-                                      f'command = "{command}"'),
-                    encoding="utf-8")
+    path.write_text("".join(f'command = "{command}"\n'
+                            if line.startswith("command = ") else line
+                            for line in lines), encoding="utf-8")
     assert main([str(path), *flags]) == status
     out, err = capsys.readouterr()
     assert err == ""
-    assert out == (ROOT / "tests" / "golden" / golden).read_text(
-        encoding="utf-8")
+    assert out == (GOLDEN / golden).read_text(encoding="utf-8")

@@ -1,5 +1,9 @@
+import copy
+import pickle
 import random
+from collections import Counter
 from fractions import Fraction as Q
+from math import factorial, prod
 
 import pytest
 
@@ -7,10 +11,12 @@ from torvoa import (HypLattice, RealizationModule, build_gl_module,
                     build_module, exp_vertex_mode, field_mode, heis_act,
                     hyp_virasoro_mode, state_mode, vacuum_vector,
                     voa_axiom_check)
+from torvoa import lattice_fock
 from torvoa.algebra_core import random_symbol
-from torvoa.lattice_fock import (_exp_term, _insert_osc, _term_apply,
-                                 coset_point, heis_act_gen, random_triples,
-                                 state_degree, translate, voa_sweep)
+from torvoa.lattice_fock import (_KeyFraction, _canon, _exp_term, _insert_osc,
+                                 _term_apply, coset_point, heis_act_gen,
+                                 random_triples, state_degree, translate,
+                                 voa_sweep)
 from torvoa.linalg import vec_add
 
 
@@ -132,6 +138,96 @@ class TestExponentials:
                 assert lhs == {k: v for k, v in rhs.items() if v}
 
 
+def _exp_series(L, y, terms, series, cut):
+    """exp(A) on a power series {z-power: Fock vector}, A the sum of
+    c z^p y(n) over terms (p, n, c); powers above ``cut`` are dropped."""
+    out, cur, n = dict(series), series, 0
+    while cur:
+        n += 1
+        nxt = {}
+        for p, v in cur.items():
+            for q, mode, c in terms:
+                w = heis_act(L, y, mode, v) if p + q <= cut else {}
+                if w:
+                    nxt[p + q] = vec_add(nxt.get(p + q, {}), w, c / n)
+        cur = {p: v for p, v in nxt.items() if v}
+        for p, v in cur.items():
+            out[p] = vec_add(out.get(p, {}), v)
+    return out
+
+
+def _exp_oracle(L, y, e, vec):
+    """z^e coefficient of Y(e^y, z) = eps(y, lat) e^y z^(y|lat)
+    exp(sum_j y(-j) z^j / j) exp(-sum_j y(j) z^-j / j) on a one-monomial
+    vector, both exponentials summed as power series of oscillator
+    operators; eps(x, lat) = (-1)^(sum_p x_{v_p} lat_{u_p})."""
+    ((osc, lat), _cf), = vec.items()
+    N = L.N
+    y = tuple(map(Q, y))
+    xi = sum(y[p] * lat[N + p] + y[N + p] * lat[p] for p in range(N))
+    t = Q(e) - xi
+    if t.denominator != 1:
+        return {}
+    depth = -sum(mode for _g, mode in osc)
+    ann = _exp_series(L, y, [(-j, j, Q(-1, j)) for j in range(1, depth + 1)],
+                      {0: vec}, 0)
+    out = {}
+    for p, v in ann.items():
+        need = int(t) - p
+        if need >= 0:
+            cre = _exp_series(L, y, [(j, -j, Q(1, j))
+                                     for j in range(1, need + 1)],
+                              {0: v}, need)
+            out = vec_add(out, cre.get(need, {}))
+    sign = -1 if sum(y[N + p] * lat[p] for p in range(N)) % 2 else 1
+    return {(o, tuple(Q(a) + b for a, b in zip(l, y))): sign * c
+            for (o, l), c in out.items()}
+
+
+class TestExponentialOracle:
+    """exp_vertex_mode against the exponentials expanded as power series."""
+
+    @pytest.mark.parametrize("y, entries, alpha, m, beta", [
+        # integral point, sign -1 from (v|u) = 1
+        ((1, -1), [(0, -1), (1, -2)], 0, 1, 1),
+        # alpha = 1/2 point
+        ((2, 0), [(1, -1), (0, -2)], Q(1, 2), 1, 1),
+        # half-integral y: half-integral z-exponents and pairings
+        ((Q(1, 2), 0), [(1, -1), (1, -1)], 0, 1, 1),
+        # paired v-oscillators raise the creation order above e - (y|lat)
+        ((1, 0), [(1, -2), (1, -1)], 0, 1, 0),
+    ])
+    def test_matches_power_series(self, lat1, y, entries, alpha, m, beta):
+        vec = osc_vec(lat1, entries, alpha=(alpha,), m=(m,), beta=(beta,))
+        xi = lat1.form(y, next(iter(vec))[1])
+        nonzero = []
+        for k in range(-4, 4):
+            got = exp_vertex_mode(lat1, y, xi + k, vec)
+            assert got == _exp_oracle(lat1, y, xi + k, vec)
+            if got:
+                nonzero.append(k)
+        assert nonzero
+        if y == (1, 0):
+            assert min(nonzero) < 0
+
+
+def _key_form(x):
+    """An integral rational as an int, any other as its interned
+    _KeyFraction."""
+    return type(x) is int or (type(x) is _KeyFraction and x.denominator != 1
+                              and _canon(Q(x)) is x)
+
+
+def _check_entry(entry):
+    """A lattice memo entry: a positive int denominator over nonzero int
+    numerators, at lattice points in key form."""
+    den, nums = entry
+    assert type(den) is int and den > 0, den
+    for (_osc, lat), num in nums.items():
+        assert all(map(_key_form, lat)), lat
+        assert type(num) is int and num, num
+
+
 class TestMemo:
     def test_each_exponential_stored_once(self, params_n1):
         # a fresh module, so its lattice memo tables start cold
@@ -144,16 +240,15 @@ class TestMemo:
         assert all(factors for factors, *_rest in L._field_cache)
         sizes = len(L._exp_cache), len(L._field_cache)
         for (y, e, osc, lat), hit in L._exp_cache.items():
+            _check_entry(hit)
             assert _exp_term(L, y, e, osc, lat) is hit
             assert _term_apply(L, (), y, osc, lat, e) is hit
             assert _term_apply(L, (), None, osc, lat, Q(0)) \
-                == {(osc, lat): Q(1)}
+                == (1, {(osc, lat): 1})
+        for key, hit in L._field_cache.items():
+            _check_entry(hit)
+            assert _term_apply(L, *key) is hit
         assert (len(L._exp_cache), len(L._field_cache)) == sizes
-
-
-def _key_form(x):
-    """An integral rational as an int, any other as a Fraction."""
-    return type(x) is int or (type(x) is Q and x.denominator != 1)
 
 
 def _check_fock(vec):
@@ -174,18 +269,20 @@ def _fraction_keyed(vec):
 
 class TestKeyForm:
     """In every memo key an integral lattice coordinate, exponential vector
-    component or z-exponent is an int; coefficients are Fractions."""
+    component or z-exponent is an int and any other the interned
+    _KeyFraction; lattice memo entries are int numerators over an int
+    denominator, and public vectors have Fraction coefficients."""
 
     @staticmethod
     def _check_lattice_memo(L):
         assert L._exp_cache and L._field_cache
         for (y, e, _osc, lat), out in L._exp_cache.items():
             assert all(map(_key_form, y + lat + (e,))), (y, e, lat)
-            _check_fock(out)
+            _check_entry(out)
         for (_factors, expy, _osc, lat, e), out in L._field_cache.items():
             assert all(map(_key_form, (expy or ()) + lat + (e,))), \
                 (expy, e, lat)
-            _check_fock(out)
+            _check_entry(out)
 
     @classmethod
     def _check_realization_memo(cls, module):
@@ -196,6 +293,20 @@ class TestKeyForm:
             ys = sum((f[1] for f in factors if f[0] == "exp"), ())
             assert all(map(_key_form, ys + lat + (e,))), (ys, e, lat)
             _check_realization(out)
+
+    def test_interned_coordinate(self):
+        # one object per non-integral value, equal and hash-equal to the
+        # plain Fraction; it copies, pickles and prints as that Fraction
+        x = _canon(Q(1, 2))
+        assert type(x) is _KeyFraction
+        assert _canon(Q(2, 4)) is x and _canon(x) is x and _canon("1/2") is x
+        assert x == Q(1, 2) and hash(x) == hash(Q(1, 2))
+        assert {Q(1, 2): 1}[x] == 1 and {x: 1}[Q(1, 2)] == 1
+        assert repr(x) == "Fraction(1, 2)" and str(x) == "1/2"
+        assert copy.copy(x) is x and copy.deepcopy(x) is x
+        assert pickle.loads(pickle.dumps(x)) is x
+        assert type(x + x) is Q and x + x == 1
+        assert type(_canon(Q(4, 2))) is int and _canon(Q(4, 2)) == 2
 
     def test_memo_keys_after_sweeps(self, params_n2, sl2):
         natural = RealizationModule(params_n2, alpha=(Q(1, 2), 0),
@@ -427,3 +538,49 @@ class TestAxioms:
                                    borcherds_window=2)
         assert [data for label, data in failures
                 if label == "commutator" and data[0] == -3]
+
+
+def _dropped_count(terms):
+    """The creation expansion without the 1/count of its recursion: each
+    term gains the factorial of every repeated insertion's multiplicity."""
+    def wrong(ycomps, ec):
+        den, created = terms(ycomps, ec)
+        return den, tuple(
+            (num * prod(map(factorial, Counter(ins).values())), ins)
+            for num, ins in created)
+    return wrong
+
+
+class TestEngineChecksCanFail:
+    """A deliberate error in each term the integer engine computes fails
+    the commutator sweep of ``verify-realization`` at its default size (200
+    seeded draws) on the natural top at alpha = (1/2, 0).  Fresh modules
+    keep the errors out of the shared fixtures' memo tables."""
+
+    MUTATIONS = {
+        "cocycle-sign": (HypLattice, "epsilon",
+                         lambda eps: lambda self, x, y: -eps(self, x, y)),
+        "creation-count": (lattice_fock, "_creation_terms", _dropped_count),
+        "derivative-binomial": (lattice_fock, "binom",
+                                lambda binom: lambda a, k: binom(a + 1, k)),
+        "truncated-reading": (lattice_fock, "_reading",
+                              lambda reading: lambda L, g, lat:
+                              int(reading(L, g, lat))),
+    }
+
+    @pytest.mark.parametrize("mutation, failures", [
+        ("cocycle-sign", 87),
+        ("creation-count", 48),
+        ("derivative-binomial", 6),
+        ("truncated-reading", 13),
+    ])
+    def test_natural_top_sweep(self, mutation, failures, params_n2, sl2,
+                               monkeypatch):
+        owner, name, wrong = self.MUTATIONS[mutation]
+        monkeypatch.setattr(owner, name, wrong(getattr(owner, name)))
+        module = RealizationModule(params_n2, alpha=(Q(1, 2), 0),
+                                   V=build_module(sl2, "natural"),
+                                   W=build_gl_module(2, "natural"), d=0)
+        checked, fails = module.commutator_sweep(random.Random(1), 200, 2, 1,
+                                                 2)
+        assert (checked, len(fails)) == (200, failures)
