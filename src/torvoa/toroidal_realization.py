@@ -118,6 +118,8 @@ class RealizationModule:
             self._vacuum_companion = RealizationModule(
                 self.params, self.alpha, self.V, self.W, self.h, self.d,
                 vacuum=True)
+            # lattice data do not depend on the vacuum flag: share the memo
+            self._vacuum_companion.lat = self.lat
         return self._vacuum_companion
 
     def lattice_point(self, m=None):
@@ -151,130 +153,122 @@ class RealizationModule:
         return _canon_vec(r) + (0,) * N
 
     def realize_plan(self, sym: BasisSymbol):
-        """Composite operator description: list of (coeff, factors, exponent).
+        """Composite operator description: list of (coeff, fock, ffac, y, e).
 
-        Factors are ('osc', g, nderiv), ('fvir',) and ('cur', idx), with the
-        exponential ('exp', y) last.
+        ``fock`` is a chain of Fock factors ('osc', g, nderiv) as
+        ``lattice_fock._term_apply`` takes it, ``ffac`` the one M_f factor
+        ('cur', idx) or ('fvir',), or None, and y the exponential vector.
         """
         p = self.params
         N = p.N
         j, r = sym.j, sym.r
-        ex = ("exp", self._exp_vec(r))
+        y = self._exp_vec(r)
         c = p.c
         if sym.tag == "k":
             if sym.idx == 0:
-                return [(c, (ex,), -j)]
-            return [(c, (("osc", sym.idx - 1, 0), ex), -j - 1)]
+                return [(c, (), None, y, -j)]
+            return [(c, (("osc", sym.idx - 1, 0),), None, y, -j - 1)]
         if sym.tag == "g":
-            return [(Q(1), (("cur", sym.idx), ex), -j - 1)]
+            return [(Q(1), (), ("cur", sym.idx), y, -j - 1)]
         if sym.tag == "dt":
             if sym.idx >= 1:
                 pidx = sym.idx
-                plan = [(Q(1), (("osc", N + pidx - 1, 0), ex), -j - 1)]
+                plan = [(Q(1), (("osc", N + pidx - 1, 0),), None, y, -j - 1)]
                 for a in range(1, N + 1):
                     ra = r[a - 1]
                     if ra:
                         cur = ("cur", self.fd.e_index(a, pidx))
-                        plan.append((Q(ra), (cur, ex), -j - 1))
+                        plan.append((Q(ra), (), cur, y, -j - 1))
                 return plan
             # :(:u_p v_p:) Y(e^y): = :u_p :v_p Y(e^y):: + r_p :(d u_p) Y(e^y):
             # since (v_p|y) = r_p and (u_p|y) = 0; the second term joins the
             # derivative correction below
-            plan = [(Q(1), (("osc", pp, 0), ("osc", N + pp, 0), ex), -j - 2)
-                    for pp in range(N)]
-            plan.append((Q(1), (("fvir",), ex), -j - 2))
+            plan = [(Q(1), (("osc", pp, 0), ("osc", N + pp, 0)), None, y,
+                     -j - 2) for pp in range(N)]
+            plan.append((Q(1), (), ("fvir",), y, -j - 2))
             for a in range(1, N + 1):
                 ra = r[a - 1]
                 if not ra:
                     continue
                 for b in range(1, N + 1):
                     cur = ("cur", self.fd.e_index(a, b))
-                    plan.append((Q(ra), (("osc", b - 1, 0), cur, ex), -j - 2))
+                    plan.append((Q(ra), (("osc", b - 1, 0),), cur, y, -j - 2))
             coef = p.mu * c
             if coef:
                 for pp in range(1, N + 1):
                     rp = r[pp - 1]
                     if rp:
-                        plan.append((coef * rp, (("osc", pp - 1, 1), ex), -j - 2))
+                        plan.append((coef * rp, (("osc", pp - 1, 1),), None, y,
+                                     -j - 2))
             return plan
         if sym.tag == "d":
             plan = []
             for s2, c2 in _plain_to_tilde(p, sym).items():
-                for coeff, factors, e in self.realize_plan(s2):
-                    plan.append((c2 * coeff, factors, e))
+                for coeff, *chain in self.realize_plan(s2):
+                    plan.append((c2 * coeff, *chain))
             return plan
         raise ConfigError(f"cannot realize tag {sym.tag!r}")
 
     # -- normally ordered application ----------------------------------------
 
-    def _term_ordered(self, factors, e, fk, fkey):
-        """One basis monomial through the factor chain at one exponent;
-        memoized on the module so window sweeps share repeated work.
+    def _term_ordered(self, fock, ffac, y, e, fk, fkey):
+        """One basis monomial through a chain with an M_f factor at one
+        exponent; memoized on the module so window sweeps share work.
 
-        The Fock factors and the one M_f factor act on different tensor
-        factors and commute, so the z^e coefficient of the chain is the sum
-        over e2 of the lattice Fock product at z^(e - e2) tensored with the
-        M_f field at z^e2.
+        The Fock factors and the M_f factor act on different tensor factors
+        and commute, so the z^e coefficient of the chain is the sum over e2
+        of the lattice Fock product at z^(e - e2) tensored with the M_f
+        field at z^e2.
         """
-        key = (factors, e, fk, fkey)
+        key = (fock, ffac, y, e, fk, fkey)
         hit = self._term_cache.get(key)
         if hit is not None:
             return hit
-        fock, expy, ffac = [], None, None
-        for f in factors:
-            if f[0] == "osc":
-                fock.append(f)
-            elif f[0] == "exp":
-                expy = f[1]
-            elif f[0] in ("fvir", "cur"):
-                if ffac is not None:
-                    raise ConfigError("a factor chain takes at most one "
-                                      "M_f factor")
-                ffac = f
-            else:
-                raise ConfigError(f"unknown factor {f[0]!r}")
-        fock = tuple(fock)
         (osc, lat), (mono, top) = fk, fkey
         out = {}
-        if ffac is None:
-            den, nums = lattice_fock._term_apply(self.lat, fock, expy, osc,
-                                                 lat, e)
-            for fk2, num in nums.items():
-                out[(fk2, fkey)] = Q(num, den)
-        else:
-            # an M_f field of weight w kills depth-d monomials below z^(-d-w);
-            # the Fock product vanishes below its minimal exponent
-            lo = -depth(mono) - (2 if ffac[0] == "fvir" else 1)
-            hi = e - lattice_fock._term_min_exponent(self.lat, fock, expy,
-                                                     osc, lat)
-            for e2 in range(lo, floor(hi) + 1):
-                den, fpart = lattice_fock._term_apply(self.lat, fock, expy,
-                                                      osc, lat, e - e2)
-                if not fpart:
-                    continue
-                sym = (("L", -e2 - 2) if ffac[0] == "fvir"
-                       else ("f", ffac[1], -e2 - 1))
-                for fkey2, c2 in self.fmod.apply_sym(sym, mono, top).items():
-                    num, d = c2.numerator, c2.denominator * den
-                    for fk2, c1 in fpart.items():
-                        merge(out, (fk2, fkey2), Q(c1 * num, d))
+        # an M_f field of weight w kills depth-d monomials below z^(-d-w);
+        # the Fock product vanishes below its minimal exponent
+        lo = -depth(mono) - (2 if ffac[0] == "fvir" else 1)
+        hi = e - lattice_fock._term_min_exponent(self.lat, fock, y, osc, lat)
+        for e2 in range(lo, floor(hi) + 1):
+            den, fpart = lattice_fock._term_apply(self.lat, fock, y, osc, lat,
+                                                  e - e2)
+            if not fpart:
+                continue
+            sym = (("L", -e2 - 2) if ffac[0] == "fvir"
+                   else ("f", ffac[1], -e2 - 1))
+            for fkey2, c2 in self.fmod.apply_sym(sym, mono, top).items():
+                num, d = c2.numerator, c2.denominator * den
+                for fk2, c1 in fpart.items():
+                    merge(out, (fk2, fkey2), Q(c1 * num, d))
         self._term_cache[key] = out
         return out
 
-    def _apply_ordered(self, factors, e, vec):
+    def _apply_ordered(self, fock, ffac, y, e, vec):
+        """One plan term, without its coefficient, on a vector (y None: no
+        exponential).  A Fock-only chain is read from the lattice engine's
+        memo and stored nowhere else."""
         out = {}
         e = _canon(e)
         for ((osc, lat), fkey), cf in vec.items():
-            add_into(out, self._term_ordered(factors, e, (osc, _canon_vec(lat)),
-                                             fkey), cf)
+            lat = _canon_vec(lat)
+            if ffac is not None:
+                add_into(out, self._term_ordered(fock, ffac, y, e, (osc, lat),
+                                                 fkey), cf)
+                continue
+            den, nums = lattice_fock._term_apply(self.lat, fock, y, osc, lat,
+                                                 e)
+            num, d = cf.numerator, cf.denominator * den
+            for fk2, c1 in nums.items():
+                merge(out, (fk2, fkey), Q(c1 * num, d))
         return out
 
     # -- the action ------------------------------------------------------------
 
     def g_act_symbol(self, sym: BasisSymbol, vec):
         out = {}
-        for coeff, factors, e in self.realize_plan(sym):
-            add_into(out, self._apply_ordered(factors, e, vec), coeff)
+        for coeff, *chain in self.realize_plan(sym):
+            add_into(out, self._apply_ordered(*chain, vec), coeff)
         return out
 
     def g_act(self, x, vec):
@@ -726,10 +720,12 @@ def _relation_cases(module, relation_id):
                 for other, sym, n1 in cases:
                     for n2 in range(-1, 2):
                         for vec in vectors:
-                            ev = module._apply_ordered((ecombo,), -n2 - 1, vec)
+                            ev = module._apply_ordered((), ecombo, None,
+                                                       -n2 - 1, vec)
                             ov = module.g_act_symbol(sym, vec)
                             lhs = module.g_act_symbol(sym, ev)
-                            rhs = module._apply_ordered((ecombo,), -n2 - 1, ov)
+                            rhs = module._apply_ordered((), ecombo, None,
+                                                        -n2 - 1, ov)
                             yield ("field-commute", lhs, rhs,
                                    (a, b, other, n1, n2))
         for a in range(1, N + 1):
@@ -761,7 +757,8 @@ def _relation_cases(module, relation_id):
                     for t in range(1, N + 1):
                         state = module.gl_current_state(s, t)
                         combo = ("cur", module.fd.e_index(a, b))
-                        got0 = module._apply_ordered((combo,), -1, state)
+                        got0 = module._apply_ordered((), combo, None, -1,
+                                                     state)
                         want0 = {}
                         if b == s:
                             want0 = vec_add(want0, module.gl_current_state(a, t))
@@ -769,14 +766,16 @@ def _relation_cases(module, relation_id):
                             want0 = vec_add(want0, module.gl_current_state(s, b),
                                             Q(-1))
                         yield "ope-0", got0, want0, (a, b, s, t)
-                        got1 = module._apply_ordered((combo,), -2, state)
+                        got1 = module._apply_ordered((), combo, None, -2,
+                                                     state)
                         cf = (1 - mu * c) * (Q(1) if (b == s and a == t) else Q(0)) \
                             - nu * c * (Q(1) if (a == b and s == t) else Q(0))
                         yield ("ope-1", got1, vec_scale(module.top_vector(), cf),
                                (a, b, s, t))
                         for n in (2, 3):
                             yield ("ope-high", module._apply_ordered(
-                                (combo,), -n - 1, state), {}, (a, b, s, t, n))
+                                (), combo, None, -n - 1, state), {},
+                                (a, b, s, t, n))
         return
 
     if relation_id == "vir-lowering":

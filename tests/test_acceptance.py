@@ -248,7 +248,7 @@ def test_ac9_virasoro_rank(module_n1, module_n2):
             if not vec_eq(lhs, vec_scale(v, rank / 2)):
                 ok = False
         rng = random.Random(SEED)
-        ex = ("exp", module._exp_vec(zr))
+        y = module._exp_vec(zr)
         for _ in range(5):
             v = module.random_vector(rng, 2)
             for j in range(-2, 3):
@@ -256,8 +256,9 @@ def test_ac9_virasoro_rank(module_n1, module_n2):
                 hyp = {}
                 for q in range(p.N):
                     hyp = vec_add(hyp, module._apply_ordered(
-                        (("osc", q, 0), ("osc", p.N + q, 0), ex), -j - 2, v))
-                fv = module._apply_ordered((("fvir",), ex), -j - 2, v)
+                        (("osc", q, 0), ("osc", p.N + q, 0)), None, y, -j - 2,
+                        v))
+                fv = module._apply_ordered((), ("fvir",), y, -j - 2, v)
                 if not vec_eq(got, vec_add(hyp, fv)):
                     ok = False
     assert _report("AC-9", ok, f"rank 64/5 exact, {time.time()-t0:.1f}s")

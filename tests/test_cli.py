@@ -203,7 +203,8 @@ class TestRun:
         monkeypatch.setattr(
             RealizationModule, "realize_plan",
             lambda self, sym: [(2 * cf if sym.tag == "k" and sym.idx == 0
-                                else cf, fs, e) for cf, fs, e in plan(self, sym)])
+                                else cf, *chain)
+                               for cf, *chain in plan(self, sym)])
         text = MINIMAL.replace('command = "char"',
                                'command = "verify-realization"')
         by_id = {c["id"]: c["details"] for c in run(parse_spec(text))["checks"]

@@ -288,9 +288,9 @@ class TestKeyForm:
     def _check_realization_memo(cls, module):
         cls._check_lattice_memo(module.lat)
         assert module._term_cache
-        for (factors, e, (_osc, lat), _fkey), out in \
+        for (_fock, _ffac, y, e, (_osc, lat), _fkey), out in \
                 module._term_cache.items():
-            ys = sum((f[1] for f in factors if f[0] == "exp"), ())
+            ys = y or ()
             assert all(map(_key_form, ys + lat + (e,))), (ys, e, lat)
             _check_realization(out)
 

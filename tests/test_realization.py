@@ -283,11 +283,11 @@ class TestRelations:
         assert params_n2.nu * c == Q(2, 5)
         state = M.gl_current_state(2, 1)
         combo = ("cur", M.fd.e_index(1, 2))
-        got = M._apply_ordered((combo,), -2, state)
+        got = M._apply_ordered((), combo, None, -2, state)
         assert vec_eq(got, vec_scale(M.top_vector(), Q(1, 3)))
         state = M.gl_current_state(2, 2)
         combo = ("cur", M.fd.e_index(1, 1))
-        got = M._apply_ordered((combo,), -2, state)
+        got = M._apply_ordered((), combo, None, -2, state)
         assert vec_eq(got, vec_scale(M.top_vector(), Q(-2, 5)))
 
     def test_unknown_relation_id(self, module_n1):
@@ -337,8 +337,8 @@ class TestChecksCanFail:
         doubled, plan = self.ERRORS[error], RealizationModule.realize_plan
         monkeypatch.setattr(
             RealizationModule, "realize_plan",
-            lambda self, sym: [(2 * cf, fs, e) if doubled(sym) else (cf, fs, e)
-                               for cf, fs, e in plan(self, sym)])
+            lambda self, sym: [(2 * cf if doubled(sym) else cf, *chain)
+                               for cf, *chain in plan(self, sym)])
         assert self._failures(check, RealizationModule(params_n1)) == failures
 
     def test_shifted_sl_level(self, params_n2):
@@ -391,13 +391,13 @@ class TestVirasoroStructure:
         for r in rs:
             y = M._exp_vec(r)
             for j in range(-2, 3):
-                fock_plan = [(cf, fac, e) for cf, fac, e
+                fock_plan = [(cf, fock, ffac, ey, e) for cf, fock, ffac, ey, e
                              in M.realize_plan(dt_sym(p, j, r, 0))
-                             if not any(f[0] in ("fvir", "cur") for f in fac)]
+                             if ffac is None]
                 for v in M.sample_vectors(2):
                     got = {}
-                    for cf, fac, e in fock_plan:
-                        got = vec_add(got, M._apply_ordered(fac, e, v), cf)
+                    for cf, *chain in fock_plan:
+                        got = vec_add(got, M._apply_ordered(*chain, v), cf)
                     want = {}
                     for (fk, fkey), cf in v.items():
                         for fk2, c2 in oracle(y, r, -j - 2, {fk: Q(1)}).items():
@@ -411,16 +411,15 @@ class TestTensorSplit:
 
     @staticmethod
     def _chains(M):
-        y = M._exp_vec(unit_r(M.params.N, 1))
-        ex = ("exp", y)
         e11 = M.fd.e_index(1, 1)
-        # (factor chain, Fock factors, M_f field at z^e2 on an M_f vector)
+        # (Fock factors, M_f factor, M_f field at z^e2 on an M_f vector,
+        # its weight)
         return [
-            ((("osc", 0, 0), ("cur", e11), ex), (("osc", 0, 0),),
+            ((("osc", 0, 0),), ("cur", e11),
              lambda e2, fv: M.fmod.act_current({e11: Q(1)}, -e2 - 1, fv), 1),
-            ((("cur", 0), ex), (),
+            ((), ("cur", 0),
              lambda e2, fv: M.fmod.act(("f", 0, -e2 - 1), fv), 1),
-            ((("fvir",), ex), (),
+            ((), ("fvir",),
              lambda e2, fv: M.fmod.act(("L", -e2 - 2), fv), 2),
         ]
 
@@ -428,8 +427,8 @@ class TestTensorSplit:
     def test_matches_fock_product_times_f_mode(self, fixture, request):
         from torvoa.lattice_fock import field_mode
         M = request.getfixturevalue(fixture)
-        for chain, fock, f_field, weight in self._chains(M):
-            y = chain[-1][1]
+        y = M._exp_vec(unit_r(M.params.N, 1))
+        for fock, ffac, f_field, weight in self._chains(M):
             fock_weight = sum(1 + f[2] for f in fock)
             for v in M.sample_vectors(2):
                 for e in range(-3, 3):
@@ -449,13 +448,17 @@ class TestTensorSplit:
                                 for fkey, c2 in mpart.items():
                                     want = vec_add(want, {(fk, fkey): c1 * c2},
                                                    cf)
-                    got = M._apply_ordered(chain, e, v)
-                    assert vec_eq(got, want), (chain, e, v)
+                    got = M._apply_ordered(fock, ffac, y, e, v)
+                    assert vec_eq(got, want), (fock, ffac, e, v)
 
-    def test_bad_chains_rejected(self, module_n1):
-        v = module_n1.top_vector()
-        cur = ("cur", 0)
-        with pytest.raises(ConfigError):
-            module_n1._apply_ordered((("bogus",),), -1, v)
-        with pytest.raises(ConfigError):
-            module_n1._apply_ordered((cur, ("fvir",)), -3, v)
+    @pytest.mark.parametrize("fixture", ["module_n2", "module_n2_natural"])
+    def test_memo_holds_only_f_chains(self, fixture, request):
+        # Fock-only chains are memoized once, by the lattice engine; the
+        # realization's own table keeps only chains with an M_f factor
+        M = request.getfixturevalue(fixture)
+        assert M.commutator_sweep(random.Random(3), 8, 2, 1, 2) == (8, [])
+        assert M._term_cache
+        for fock, ffac, _y, _e, _fk, _fkey in M._term_cache:
+            assert ffac == ("fvir",) or ffac[0] == "cur", (fock, ffac)
+        if M.is_standard_top():
+            assert M.vacuum_companion().lat is M.lat

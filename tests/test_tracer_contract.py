@@ -6,7 +6,7 @@ import importlib.util
 from pathlib import Path
 
 import torvoa
-from torvoa.algebra_core import k_sym
+from torvoa.algebra_core import g_sym, k_sym
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
@@ -34,6 +34,11 @@ def test_install_traces_the_engine_and_uninstall_restores(params_n1):
         for idx in (0, 1):
             module.g_act_symbol(k_sym(params_n1, -1, (1,), idx),
                                 module.top_vector())
+        # Fock-only chains are memoized by the lattice alone, so the k
+        # actions leave _term_cache empty; a current fills it
+        assert not module._term_cache
+        module.g_act_symbol(g_sym(params_n1, -1, (1,), 0),
+                            module.top_vector())
     finally:
         tracer.uninstall()
     calls = {name: row["calls"] for name, row in tracer.summary().items()}
