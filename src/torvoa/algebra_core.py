@@ -174,32 +174,39 @@ def _exact_form_terms(params, degree_src: BasisSymbol, target_j, target_r, coeff
     return out
 
 
+_RANK = {"g": 0, "k": 0, "d": 1, "dt": 2}
+
+
+def _rank(sym):
+    """Bracket order of a symbol: dt_0, then dt_p, then d, then g and k."""
+    return _RANK.get(sym.tag, 0) + (sym.tag == "dt" and sym.idx == 0)
+
+
 def _bracket_basis(params: Params, a: BasisSymbol, b: BasisSymbol) -> dict:
-    """Raw bracket of two basis symbols (not yet canonicalized)."""
+    """Raw bracket of two basis symbols (not yet canonicalized).
+
+    Antisymmetry is the one rule for the order: each pair is computed with
+    the factor of higher ``_rank`` on the left.
+    """
+    if _rank(a) < _rank(b):
+        return _negate(_bracket_basis(params, b, a))
     ta, tb = a.tag, b.tag
-    j, r = a.j + b.j, tuple(x + y for x, y in zip(a.r, b.r))
 
-    if ta == "k" and tb == "k":
-        return {}
-    if (ta, tb) in (("g", "k"), ("k", "g")):
-        return {}
-
-    if ta == "g" and tb == "g":
+    if ta == "dt":
+        if tb == "dt":
+            return _bracket_tilde(params, a, b)
+        # over d and k_0; k_0 brackets to zero against g and k
         out = {}
-        for kidx, cf in params.g_dot.struct[a.idx][b.idx]:
-            merge(out, BasisSymbol("g", j, r, kidx), cf)
-        pairing = params.g_dot.pair(a.idx, b.idx)
-        if pairing:
-            add_into(out, _exact_form_terms(params, a, j, r, pairing))
+        for sym, cf in _tilde_to_plain(params, a).items():
+            add_into(out, _bracket_basis(params, sym, b), cf)
         return out
 
+    j, r = a.j + b.j, tuple(x + y for x, y in zip(a.r, b.r))
     if ta == "d" and tb == "g":
         # [t^rho d_a, t^sigma g] = sigma_a t^(rho+sigma) g
         out = {}
         merge(out, BasisSymbol("g", j, r, b.idx), Q(b.exponent(a.idx)))
         return out
-    if ta == "g" and tb == "d":
-        return _negate(_bracket_basis(params, b, a))
 
     if ta == "d" and tb == "k":
         # [t^rho d_a, t^sigma k_b] = sigma_a t^+ k_b + delta_ab sum_p rho_p t^+ k_p
@@ -208,8 +215,6 @@ def _bracket_basis(params: Params, a: BasisSymbol, b: BasisSymbol) -> dict:
         if a.idx == b.idx:
             add_into(out, _exact_form_terms(params, a, j, r, Q(1)))
         return out
-    if ta == "k" and tb == "d":
-        return _negate(_bracket_basis(params, b, a))
 
     if ta == "d" and tb == "d":
         out = {}
@@ -221,23 +226,17 @@ def _bracket_basis(params: Params, a: BasisSymbol, b: BasisSymbol) -> dict:
             add_into(out, _exact_form_terms(params, b, j, r, tau))
         return out
 
-    if ta == "dt" and tb == "dt":
-        return _bracket_tilde(params, a, b)
-
-    if ta == "dt" and tb in ("g", "k"):
-        if a.idx >= 1:
-            return _bracket_basis(params, a._replace(tag="d"), b)
-        return _negate(_bracket_basis(params, a._replace(tag="d"), b))
-    if ta in ("g", "k") and tb == "dt":
-        return _negate(_bracket_basis(params, b, a))
-
-    if ta == "dt" and tb == "d":
+    if ta == "g" and tb == "g":
         out = {}
-        for sym, cf in _tilde_to_plain(params, a).items():
-            add_into(out, _bracket_basis(params, sym, b), cf)
+        for kidx, cf in params.g_dot.struct[a.idx][b.idx]:
+            merge(out, BasisSymbol("g", j, r, kidx), cf)
+        pairing = params.g_dot.pair(a.idx, b.idx)
+        if pairing:
+            add_into(out, _exact_form_terms(params, a, j, r, pairing))
         return out
-    if ta == "d" and tb == "dt":
-        return _negate(_bracket_basis(params, b, a))
+
+    if ta in ("g", "k") and tb in ("g", "k"):
+        return {}
 
     raise ConfigError(f"unhandled bracket tags {ta!r}, {tb!r}")
 
@@ -247,20 +246,20 @@ def _negate(d):
 
 
 def _bracket_tilde(params: Params, a: BasisSymbol, b: BasisSymbol) -> dict:
-    """Brackets of the shifted vector fields, in their own coordinates."""
+    """Brackets of the shifted vector fields, in their own coordinates;
+    ``a`` is dt_0 whenever ``b`` is."""
     i, jj = a.j, b.j
     rr, ss = a.r, b.r
     j, r = i + jj, tuple(x + y for x, y in zip(rr, ss))
     mu, nu = params.mu, params.nu
     out = {}
 
-    def add_k(coef_k0, coef_s, coef_r=Q(0)):
+    def add_k(coef_k0, coef_s):
         merge(out, BasisSymbol("k", j, r, 0), coef_k0)
         for p in range(1, params.N + 1):
-            merge(out, BasisSymbol("k", j, r, p),
-                  coef_s * ss[p - 1] + coef_r * rr[p - 1])
+            merge(out, BasisSymbol("k", j, r, p), coef_s * ss[p - 1])
 
-    if a.idx >= 1 and b.idx >= 1:
+    if a.idx >= 1:
         sa, rb = Q(ss[a.idx - 1]), Q(rr[b.idx - 1])
         ra, sb = Q(rr[a.idx - 1]), Q(ss[b.idx - 1])
         merge(out, BasisSymbol("dt", j, r, b.idx), sa)
@@ -270,18 +269,13 @@ def _bracket_tilde(params: Params, a: BasisSymbol, b: BasisSymbol) -> dict:
             add_k(w * jj, w)
         return out
 
-    if a.idx == 0 and b.idx >= 1:
+    if b.idx >= 1:
         rb, sb = Q(rr[b.idx - 1]), Q(ss[b.idx - 1])
         merge(out, BasisSymbol("dt", j, r, b.idx), Q(-jj))
         merge(out, BasisSymbol("dt", j, r, 0), -rb)
-        add_k(-(mu * rb * (jj - 1) + nu * sb * (i + 1)) * jj, Q(0))
-        coef = -(mu * rb * jj + nu * sb * (i + 1))
-        for p in range(1, params.N + 1):
-            merge(out, BasisSymbol("k", j, r, p), coef * ss[p - 1])
+        add_k(-(mu * rb * (jj - 1) + nu * sb * (i + 1)) * jj,
+              -(mu * rb * jj + nu * sb * (i + 1)))
         return out
-
-    if a.idx >= 1 and b.idx == 0:
-        return _negate(_bracket_tilde(params, b, a))
 
     # both are the shifted d_0
     merge(out, BasisSymbol("dt", j, r, 0), Q(i - jj))
@@ -294,38 +288,35 @@ def _bracket_tilde(params: Params, a: BasisSymbol, b: BasisSymbol) -> dict:
 # tilde basis change
 # ---------------------------------------------------------------------------
 
+def _change_basis(params: Params, sym: BasisSymbol, src, dst, nu_sign):
+    """Expand one ``src`` symbol over ``dst`` and k_0 at the same degree.
+
+    The change is its own inverse up to the sign of the nu r_p k_0 term:
+    d_p = dt_p + nu r_p k_0 for p >= 1, and at p = 0 both
+    dt_0 = -d_0 + (mu + nu)(j + 1/2) k_0 and d_0 = -dt_0 + (the same) k_0.
+    """
+    if sym.tag != src:
+        return {sym: Q(1)}
+    j, r, p = sym.j, sym.r, sym.idx
+    if p >= 1:
+        out = {BasisSymbol(dst, j, r, p): Q(1)}
+        cf = nu_sign * params.nu * r[p - 1]
+    else:
+        out = {BasisSymbol(dst, j, r, 0): Q(-1)}
+        cf = (params.mu + params.nu) * (Q(j) + Q(1, 2))
+    if cf:
+        out[BasisSymbol("k", j, r, 0)] = cf
+    return out
+
+
 def _tilde_to_plain(params: Params, sym: BasisSymbol) -> dict:
     """Expand one 'dt' symbol over 'd' and 'k' symbols at the same degree."""
-    if sym.tag != "dt":
-        return {sym: Q(1)}
-    if sym.idx >= 1:
-        out = {BasisSymbol("d", sym.j, sym.r, sym.idx): Q(1)}
-        rp = sym.r[sym.idx - 1]
-        if rp:
-            out[BasisSymbol("k", sym.j, sym.r, 0)] = -params.nu * rp
-        return out
-    out = {BasisSymbol("d", sym.j, sym.r, 0): Q(-1)}
-    cf = (params.mu + params.nu) * (Q(sym.j) + Q(1, 2))
-    if cf:
-        out[BasisSymbol("k", sym.j, sym.r, 0)] = cf
-    return out
+    return _change_basis(params, sym, "dt", "d", -1)
 
 
 def _plain_to_tilde(params: Params, sym: BasisSymbol) -> dict:
     """Expand one 'd' symbol over 'dt' and 'k' symbols at the same degree."""
-    if sym.tag != "d":
-        return {sym: Q(1)}
-    if sym.idx >= 1:
-        out = {BasisSymbol("dt", sym.j, sym.r, sym.idx): Q(1)}
-        rp = sym.r[sym.idx - 1]
-        if rp:
-            out[BasisSymbol("k", sym.j, sym.r, 0)] = params.nu * rp
-        return out
-    out = {BasisSymbol("dt", sym.j, sym.r, 0): Q(-1)}
-    cf = (params.mu + params.nu) * (Q(sym.j) + Q(1, 2))
-    if cf:
-        out[BasisSymbol("k", sym.j, sym.r, 0)] = cf
-    return out
+    return _change_basis(params, sym, "d", "dt", 1)
 
 
 def to_tilde(el: ToroidalElement) -> ToroidalElement:

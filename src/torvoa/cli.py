@@ -30,7 +30,7 @@ from .characters import (ResourceLimitError, compare, enumerate_weight_spaces,
 from .finite_lie_data import (ValidationError, build_gl_module, build_module,
                               simple_algebra)
 from .lattice_fock import heis_act_gen, random_triples, vacuum_vector, voa_sweep
-from .linalg import vec_eq, vec_scale
+from .linalg import tally, vec_scale
 from .toroidal_realization import (RealizationModule, RELATION_IDS,
                                    default_identity_pairs,
                                    field_commutator_window_check, relation_check,
@@ -256,7 +256,7 @@ def build_context(spec: SpecFile):
                         else params.N * params.nu * params.c,
                         sl_mats=mod.get("W_matrices"))
     module = RealizationModule(params, alpha=mod.get("alpha"), V=V, W=W,
-                               h=h, d=mod.get("d"))
+                               d=mod.get("d"))
     return params, module
 
 
@@ -323,8 +323,10 @@ def verify_voa(module, rng, task):
     ones = vacuum_vector(lat)
     u1 = heis_act_gen(lat, 0, -1, ones)
     v1 = heis_act_gen(lat, N, -1, ones)
-    eu2 = vacuum_vector(lat, m=(0,) * (N - 1) + (1,))
-    triples = [(ones, ones, u1), (u1, v1, eu2)] + random_triples(lat, rng, 50, 3)
+    last = (0,) * (N - 1) + (1,)
+    eu, ev = vacuum_vector(lat, m=last), vacuum_vector(lat, beta=last)
+    # the first fixed triple applies an exponential with y != 0
+    triples = [(ev, eu, v1), (u1, v1, eu)] + random_triples(lat, rng, 50, 3)
     return [_count_check("voa:axioms", *voa_sweep(
         lat, triples, min(task.window, 3), 2))], {}
 
@@ -334,16 +336,13 @@ def verify_sugawara(module, rng, task):
     vecs = sugawara_test_vectors(fmod, rng, 3)
     sw = min(task.window, 2)
     c_prime, h_prime = module.sugawara_constants()
-    (_, vir_fails), (_, com_fails) = sugawara_sweep(fmod, c_prime, sw, vecs, 4)
+    virasoro, commutes = sugawara_sweep(fmod, c_prime, sw, vecs, 4)
     top = fmod.top_vector()
-    return [
-        _check("sugawara:virasoro", not vir_fails,
-               f"window {sw}, {len(vecs)} vectors"),
-        _check("sugawara:commutes", not com_fails,
-               f"window {sw}, currents {module.fd.dim}"),
-        _check("sugawara:weight",
-               vec_eq(sugawara_mode(fmod, 0, top), vec_scale(top, h_prime)),
-               f"h_vir_prime = {h_prime}")], {}
+    weight = tally([("weight", sugawara_mode(fmod, 0, top),
+                     vec_scale(top, h_prime), h_prime)])
+    return [_count_check("sugawara:virasoro", *virasoro),
+            _count_check("sugawara:commutes", *commutes),
+            _count_check("sugawara:weight", *weight)], {}
 
 
 def verify_realization(module, rng, task):

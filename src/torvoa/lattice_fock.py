@@ -26,6 +26,7 @@ builds one Fraction per output coefficient.
 
 from __future__ import annotations
 
+from bisect import insort
 from fractions import Fraction
 from functools import cache
 from math import ceil, factorial, lcm
@@ -153,14 +154,18 @@ def fock_depth(osc):
     return -sum(mode for _g, mode in osc)
 
 
+def _osc_order(entry):
+    """Sort key of an oscillator entry: deeper modes first, then by
+    generator."""
+    g, mode = entry
+    return -mode, g
+
+
 def _insert_osc(osc, g, mode):
-    entry = (g, mode)
+    """``osc`` with the entry (g, mode) inserted in ``_osc_order``, after
+    any equal entry."""
     lst = list(osc)
-    lo = 0
-    key = (-mode, g)
-    while lo < len(lst) and (-lst[lo][1], lst[lo][0]) <= key:
-        lo += 1
-    lst.insert(lo, entry)
+    insort(lst, (g, mode), key=_osc_order)
     return tuple(lst)
 
 
@@ -233,8 +238,8 @@ def _creation_terms(ycomps, ec):
     nonzero components ycomps ((g, comp), ...) of y.
 
     Returns (den, ((num, insertions), ...)): each term is num / den times
-    the oscillators ``insertions`` ((g, -j), ...), listed in ``_insert_osc``
-    order.  den is the lcm of the terms' denominators.  It divides ec! when
+    the oscillators ``insertions`` ((g, -j), ...), sorted by ``_osc_order``.
+    den is the lcm of the terms' denominators.  It divides ec! when
     y is integral (n!/z_lambda is an integer), but y may be half-integral.
     """
     parts = [(g, comp, j) for j in range(1, ec + 1) for (g, comp) in ycomps]
@@ -261,12 +266,6 @@ def _creation_terms(ycomps, ec):
     den = lcm(*(c.denominator for c, _ins in terms))
     return den, tuple((c.numerator * (den // c.denominator), ins)
                       for c, ins in terms)
-
-
-def _osc_order(entry):
-    """Sort key of an oscillator entry in ``_insert_osc`` order."""
-    g, mode = entry
-    return -mode, g
 
 
 def _exp_term(L: HypLattice, y, e, osc, lat):

@@ -57,27 +57,22 @@ class RealizationModule:
     Vectors are dicts {((osc, lat), (mono, top)): coefficient}.  By default
     the second factor is the triangular induced module; ``vacuum=True``
     additionally kills the translation mode on the top (only meaningful for
-    the distinguished one-dimensional top).
+    the distinguished one-dimensional top).  The top's identity scalar
+    ``h`` is ``W.id_scalar``; the default ``W`` is the trivial gl_N module
+    with identity scalar N nu c.
     """
 
     def __init__(self, params: Params, alpha=None, V: FiniteModule = None,
-                 W: GLModule = None, h=None, d=None, vacuum: bool = False):
+                 W: GLModule = None, d=None, vacuum: bool = False):
         N = params.N
         self.params = params
         self.alpha = tuple(Q(a) for a in (alpha or (0,) * N))
         if len(self.alpha) != N:
             raise ConfigError(f"alpha must have length {N}")
         self.V = V or build_module(params.g_dot, "trivial")
-        h_default = N * params.nu * params.c
-        if W is None:
-            self.h = Q(h) if h is not None else h_default
-            self.W = build_gl_module(N, "trivial", id_scalar=self.h)
-        else:
-            self.h = Q(h) if h is not None else W.id_scalar
-            if W.id_scalar == self.h:
-                self.W = W
-            else:
-                self.W = GLModule(W.N, W.dim, W.sl_mats, self.h, W.weight)
+        self.W = W or build_gl_module(N, "trivial",
+                                      id_scalar=N * params.nu * params.c)
+        self.h = self.W.id_scalar
         self.d = Q(d) if d is not None else (params.mu + params.nu) * params.c / 2
         self.h_hei = self.h - N * params.nu * params.c
         self.h_vir = -self.d + (params.mu + params.nu) * params.c / 2
@@ -116,8 +111,7 @@ class RealizationModule:
             raise ConfigError("vacuum companion exists only for the standard top")
         if self._vacuum_companion is None:
             self._vacuum_companion = RealizationModule(
-                self.params, self.alpha, self.V, self.W, self.h, self.d,
-                vacuum=True)
+                self.params, self.alpha, self.V, self.W, self.d, vacuum=True)
             # lattice data do not depend on the vacuum flag: share the memo
             self._vacuum_companion.lat = self.lat
         return self._vacuum_companion

@@ -118,6 +118,16 @@ class TestParser:
         _params, module = build_context(spec)
         assert module.W.dim == 2
         assert module.W.id_scalar == Q(2, 5)
+        # h is W's identity scalar: the run file's h, or else N nu c = 4/5,
+        # not build_gl_module's own default of 1 for a natural top
+        natural = MINIMAL.replace("N = 1", "N = 2") \
+                         .replace("alpha = [0]", "alpha = [0, 1/2]") \
+                         .replace('W = "trivial"', 'W = "natural"')
+        for text, h in ((natural, Q(2, 5)),
+                        (natural.replace("h = 2/5\n", ""), Q(4, 5))):
+            _params, module = build_context(parse_spec(text))
+            assert module.W.dim == 2
+            assert module.h == module.W.id_scalar == h
 
     def test_unknown_command(self):
         text = MINIMAL.replace('command = "char"', 'command = "dance"')
@@ -211,6 +221,20 @@ class TestRun:
                  if c["status"] == "fail"}
         assert by_id["realization:top-action"] == (
             "93/135; first failure k0-shift: ((-2,), (-1,), 0, 0)")
+
+    def test_sugawara_checks_name_their_witness(self, monkeypatch):
+        # c' + 1 breaks the central term at n = -m = -2 on all 12 vectors
+        # and n = -m = 2; h' + 1 breaks the weight of the top
+        constants = RealizationModule.sugawara_constants
+        monkeypatch.setattr(RealizationModule, "sugawara_constants",
+                            lambda self: tuple(x + 1 for x in constants(self)))
+        text = MINIMAL.replace('command = "char"', 'command = "verify-sugawara"')
+        by_id = {c["id"]: c["details"] for c in run(parse_spec(text))["checks"]}
+        assert by_id == {
+            "sugawara:virasoro": "276/300; first failure virasoro: "
+                                 "(-2, 2, {((), (0, 0)): Fraction(1, 1)})",
+            "sugawara:commutes": "400/400",
+            "sugawara:weight": "0/1; first failure weight: Fraction(1, 1)"}
 
     def test_witness_is_cut(self):
         details = _count_check("x", 3, [("long", "y" * 1000)])["details"]

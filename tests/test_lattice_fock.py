@@ -11,7 +11,7 @@ from torvoa import (HypLattice, RealizationModule, build_gl_module,
                     build_module, exp_vertex_mode, field_mode, heis_act,
                     hyp_virasoro_mode, state_mode, vacuum_vector,
                     voa_axiom_check)
-from torvoa import lattice_fock
+from torvoa import cli, lattice_fock
 from torvoa.algebra_core import random_symbol
 from torvoa.lattice_fock import (_KeyFraction, _canon, _exp_term, _insert_osc,
                                  _term_apply, coset_point, heis_act_gen,
@@ -551,15 +551,30 @@ def _dropped_count(terms):
     return wrong
 
 
+def _v_exponential_sign(exp_term):
+    """Y(e^y, z) negated whenever y has a v-component."""
+    def wrong(L, y, e, osc, lat):
+        den, out = exp_term(L, y, e, osc, lat)
+        if any(y[L.N:]):
+            return den, {k: -num for k, num in out.items()}
+        return den, out
+    return wrong
+
+
 class TestEngineChecksCanFail:
     """A deliberate error in each term the integer engine computes fails
     the commutator sweep of ``verify-realization`` at its default size (200
-    seeded draws) on the natural top at alpha = (1/2, 0).  Fresh modules
-    keep the errors out of the shared fixtures' memo tables."""
+    seeded draws) on the natural top at alpha = (1/2, 0), and the fixed
+    triples of ``verify-voa``.  Fresh modules keep the errors out of the
+    shared fixtures' memo tables."""
 
     MUTATIONS = {
         "cocycle-sign": (HypLattice, "epsilon",
                          lambda eps: lambda self, x, y: -eps(self, x, y)),
+        "trivial-cocycle": (HypLattice, "epsilon",
+                            lambda eps: lambda self, x, y: 1),
+        "v-exponential-sign": (lattice_fock, "_exp_term",
+                               _v_exponential_sign),
         "creation-count": (lattice_fock, "_creation_terms", _dropped_count),
         "derivative-binomial": (lattice_fock, "binom",
                                 lambda binom: lambda a, k: binom(a + 1, k)),
@@ -584,3 +599,22 @@ class TestEngineChecksCanFail:
         checked, fails = module.commutator_sweep(random.Random(1), 200, 2, 1,
                                                  2)
         assert (checked, len(fails)) == (200, failures)
+
+    @pytest.mark.parametrize("mutation", [
+        None, "trivial-cocycle", "v-exponential-sign", "creation-count"])
+    def test_voa_fixed_triples(self, mutation, params_n1, monkeypatch):
+        # without its random draws, verify-voa still applies an exponential
+        # with y != 0: its first fixed triple is (e^v, e^u, v(-1)1)
+        if mutation is not None:
+            owner, name, wrong = self.MUTATIONS[mutation]
+            monkeypatch.setattr(owner, name, wrong(getattr(owner, name)))
+        monkeypatch.setattr(cli, "random_triples", lambda *args: [])
+        [check], _tables = cli.verify_voa(RealizationModule(params_n1),
+                                          random.Random(1),
+                                          cli.Task(depth=3, window=3,
+                                                   certify=False))
+        if mutation is None:
+            assert (check["status"], check["details"]) == ("pass", "2/2")
+        else:
+            assert check["status"] == "fail"
+            assert check["details"].startswith("1/2; first failure")

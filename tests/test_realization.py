@@ -185,11 +185,15 @@ class TestCommutators:
 
     def test_higher_rank_coefficients(self):
         # rank-two coefficient algebra with a natural top and negative nu
-        from torvoa import Params, RealizationModule, build_module, simple_algebra
+        from torvoa import (Params, RealizationModule, build_gl_module,
+                            build_module, simple_algebra)
         sl3 = simple_algebra("A2")
         params = Params(N=1, mu=Q(2, 7), nu=Q(-1, 4), c=Q(3, 2), g_dot=sl3)
         module = RealizationModule(params, V=build_module(sl3, "natural"),
-                                   h=Q(1, 2), d=Q(0))
+                                   W=build_gl_module(1, "trivial",
+                                                     id_scalar=Q(1, 2)),
+                                   d=Q(0))
+        assert module.h == Q(1, 2)
         rng = random.Random(5150)
         assert module.commutator_sweep(rng, 25, 2, 1, 2) == (25, [])
 
