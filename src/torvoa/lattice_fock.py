@@ -16,12 +16,13 @@ written F[e]; for an oscillator field x(z) = sum x(j) z^(-j-1) the creation
 part is e >= 0 and the annihilation part e < 0, and normal ordering of a
 product splits the left factor accordingly.
 
-Every field mode goes through ``field_mode`` and its memoized engine
-``_term_apply``.  Each exponential is memoized once, in ``_exp_cache``;
-``_field_cache`` holds only products with an oscillator factor.  The engine
-computes in ints: an entry of either table is (den, {key: numerator}), a
-positive int denominator over nonzero int numerators, and ``field_mode``
-builds one Fraction per output coefficient.
+Every field mode goes through the memoized engine ``_term_apply``.  Each
+exponential is memoized once, in ``_exp_cache``; ``_field_cache`` holds only
+products with an oscillator factor.  The engine, its int core ``_chains_on``
+and the sums of ``voa_axiom_check`` up to ``tally`` compute on int vectors
+(den, {key: numerator}), a positive int denominator over nonzero int
+numerators.  Only the public modes (``field_mode``, ``state_mode``,
+``hyp_virasoro_mode``, ``translate``) build Fractions, one per output entry.
 """
 
 from __future__ import annotations
@@ -29,9 +30,10 @@ from __future__ import annotations
 from bisect import insort
 from fractions import Fraction
 from functools import cache
-from math import ceil, factorial, lcm
+from math import ceil, factorial, gcd, lcm
+from operator import mul
 
-from .linalg import add_into, merge, tally
+from .linalg import add_into, add_over, merge, tally, to_fractions, to_ints
 
 Q = Fraction
 
@@ -326,11 +328,13 @@ def exp_vertex_mode(L: HypLattice, y, exponent, vec):
 def hyp_virasoro_mode(L: HypLattice, m: int, vec):
     """Mode m (Virasoro indexing) of sum_p :u_p(z) v_p(z):, the z^(-m-2)
     coefficient of the N two-oscillator products."""
-    out = {}
-    for p in range(L.N):
-        chain = (("osc", p, 0), ("osc", L.N + p, 0))
-        add_into(out, field_mode(L, chain, None, -m - 2, vec))
-    return out
+    return to_fractions(*_virasoro_ints(L, m, _ints(vec)))
+
+
+def _virasoro_ints(L, m, vec):
+    """``hyp_virasoro_mode`` on int vectors."""
+    return _chains_on(L, [(1, (("osc", p, 0), ("osc", L.N + p, 0)), None,
+                           _canon(-m - 2)) for p in range(L.N)], 1, vec)
 
 
 def _factor_at(L, factor, e, den, nums):
@@ -352,21 +356,6 @@ def _factor_at(L, factor, e, den, nums):
         return den, {}
     return (den * cf.denominator,
             {k: cf.numerator * v for k, v in nums.items()})
-
-
-def _add_over(out, den, pden, piece, scale=1):
-    """out / den += scale * piece / pden for int numerator vectors, in place
-    over lcm(den, pden); returns that denominator."""
-    if not piece:
-        return den
-    if den % pden:
-        grown = lcm(den, pden)
-        up = grown // den
-        for k in out:
-            out[k] *= up
-        den = grown
-    add_into(out, piece, scale * (den // pden))
-    return den
 
 
 def _term_min_exponent(L, factors, expy, osc, lat):
@@ -395,32 +384,47 @@ def _term_apply(L, factors, expy, osc, lat, e):
         aden, ann = _factor_at(L, F, e1, 1, {(osc, lat): 1})
         for (osc2, lat2), cf in ann.items():
             pden, piece = _term_apply(L, rest, expy, osc2, lat2, e - e1)
-            den = _add_over(out, den, pden * aden, piece, cf)
+            den = add_over(out, den, pden * aden, piece, cf)
     lo = _term_min_exponent(L, rest, expy, osc, lat)
     e1 = 0
     while e - e1 >= lo:
         iden, inner = _term_apply(L, rest, expy, osc, lat, e - e1)
         if inner:
-            den = _add_over(out, den, *_factor_at(L, F, e1, iden, inner))
+            den = add_over(out, den, *_factor_at(L, F, e1, iden, inner))
         e1 += 1
     hit = L._field_cache[key] = (den, out)
     return hit
+
+
+def _ints(vec):
+    """A Fock vector in int form, its lattice points in key form."""
+    return to_ints({(osc, _canon_vec(lat)): cf
+                    for (osc, lat), cf in vec.items()})
+
+
+def _chains_on(L, chains, cden, vec):
+    """The int core of every field and state mode: the sum over the
+    (num, factors, expy, e) of ``chains`` of num / cden times the z^e
+    coefficient of :factors Y(e^expy, z): on the int vector ``vec``, keys
+    in key form.  The result is reduced: gcd(den, numerators) = 1."""
+    vden, vnums = vec
+    den, out = 1, {}
+    for num, factors, expy, e in chains:
+        for (osc, lat), cf in vnums.items():
+            den = add_over(out, den, *_term_apply(L, factors, expy, osc, lat,
+                                                  e), num * cf)
+    den *= cden * vden
+    g = gcd(den, *out.values())
+    return den // g, {k: v // g for k, v in out.items()}
 
 
 def field_mode(L: HypLattice, factors, expy, exponent, vec):
     """Coefficient of z^exponent of :F_1(z) ... F_r(z) Y(e^expy, z): on a
     Fock vector.  Each factor ('osc', g, nd) is the nd-th derivative of the
     g-th oscillator field over nd!; expy None means no exponential."""
-    if expy is not None:
-        expy = _canon_vec(expy)
-    out = {}
-    e = _canon(exponent)
-    for (osc, lat), cf in vec.items():
-        den, nums = _term_apply(L, factors, expy, osc, _canon_vec(lat), e)
-        num, den = cf.numerator, cf.denominator * den
-        for k, v in nums.items():
-            merge(out, k, Q(v * num, den))
-    return out
+    expy = expy and _canon_vec(expy)
+    return to_fractions(*_chains_on(
+        L, [(1, factors, expy, _canon(exponent))], 1, _ints(vec)))
 
 
 # ---------------------------------------------------------------------------
@@ -428,12 +432,10 @@ def field_mode(L: HypLattice, factors, expy, exponent, vec):
 # ---------------------------------------------------------------------------
 
 def state_degree(vec):
-    """Conformal degree of a homogeneous vector (oscillator depth plus half
-    the lattice norm)."""
-    degs = set()
-    for (osc, lat), _cf in vec.items():
-        degs.add(fock_depth(osc) + Q(1, 2) * (
-            2 * sum(lat[p] * lat[len(lat) // 2 + p] for p in range(len(lat) // 2))))
+    """Conformal degree of a homogeneous vector: oscillator depth plus half
+    the lattice norm, sum_p lat[p] lat[N + p]."""
+    degs = {fock_depth(osc) + sum(map(mul, lat, lat[len(lat) // 2:]))
+            for osc, lat in vec}
     if len(degs) != 1:
         raise ValueError("vector is not homogeneous")
     return degs.pop()
@@ -448,12 +450,16 @@ def _state_factors(osc):
 def state_mode(L: HypLattice, state, n, vec):
     """VOA mode: coefficient of z^(-n-1) of the field of ``state`` applied
     to ``vec``.  The state must have integral lattice points."""
-    out = {}
-    for (osc, lat), cf in state.items():
-        if any(x.denominator != 1 for x in lat):
-            raise ValueError("state fields need integral lattice points")
-        add_into(out, field_mode(L, _state_factors(osc), lat, -n - 1, vec), cf)
-    return out
+    return to_fractions(*_state_ints(L, _ints(state), n, _ints(vec)))
+
+
+def _state_ints(L, state, n, vec):
+    """``state_mode`` on int vectors."""
+    sden, snums = state
+    if any(x.denominator != 1 for _osc, lat in snums for x in lat):
+        raise ValueError("state fields need integral lattice points")
+    return _chains_on(L, [(num, _state_factors(osc), lat, _canon(-n - 1))
+                          for (osc, lat), num in snums.items()], sden, vec)
 
 
 def _mode_bound(L: HypLattice, x, y):
@@ -482,72 +488,76 @@ def voa_axiom_check(L: HypLattice, a, b, c, window=3, borcherds_window=2):
 
 
 def _axiom_cases(L, a, b, c, window, borcherds_window):
-    bab = _mode_bound(L, a, b)
-    bac = _mode_bound(L, a, c)
-    bbc = _mode_bound(L, b, c)
+    a, b, c = _ints(a), _ints(b), _ints(c)
+    bab = _mode_bound(L, a[1], b[1])
+    bac = _mode_bound(L, a[1], c[1])
+    bbc = _mode_bound(L, b[1], c[1])
 
     @cache
     def ac(i):
-        return state_mode(L, a, i, c)
+        return _state_ints(L, a, i, c)
 
     @cache
     def bc(i):
-        return state_mode(L, b, i, c)
+        return _state_ints(L, b, i, c)
 
     @cache
     def prod(q):
-        return state_mode(L, a, q, b)
+        return _state_ints(L, a, q, b)
 
     @cache
     def ba(l, i):
-        return state_mode(L, b, l, ac(i)) if ac(i) else {}
+        return _state_ints(L, b, l, ac(i))
 
     @cache
     def ab(l, i):
-        return state_mode(L, a, l, bc(i)) if bc(i) else {}
+        return _state_ints(L, a, l, bc(i))
 
     @cache
     def pc(q, l):
-        return state_mode(L, prod(q), l, c) if prod(q) else {}
+        return _state_ints(L, prod(q), l, c)
 
     win = range(-window, window + 1)
     bwin = range(-borcherds_window, borcherds_window + 1)
     indices = {(0, m, n) for m in win for n in win}
     indices.update((k, m, n) for k in bwin for m in bwin for n in bwin)
     for k, m, n in sorted(indices):
-        lhs = {}
+        lden, lhs = 1, {}
         for j in range(0, bab - k):
             cf = binom(m, j)
             if cf:
-                add_into(lhs, pc(k + j, m + n - j), cf)
-        rhs = {}
+                lden = add_over(lhs, lden, *pc(k + j, m + n - j), cf)
+        rden, rhs = 1, {}
         for j in range(0, bac - m):
             cf = binom(k, j)
             if cf:
-                sgn = Q(-1) if (k + j + 1) % 2 else Q(1)
-                add_into(rhs, ba(n + k - j, m + j), sgn * cf)
+                sgn = -1 if (k + j + 1) % 2 else 1
+                rden = add_over(rhs, rden, *ba(n + k - j, m + j), sgn * cf)
         for j in range(0, bbc - n):
             cf = binom(k, j)
             if cf:
-                sgn = Q(-1) if j % 2 else Q(1)
-                add_into(rhs, ab(m + k - j, n + j), sgn * cf)
-        yield (("borcherds", lhs, rhs, (k, m, n)) if k
-               else ("commutator", lhs, rhs, (m, n)))
+                sgn = -1 if j % 2 else 1
+                rden = add_over(rhs, rden, *ab(m + k - j, n + j), sgn * cf)
+        # tally compares the two sides cross-multiplied
+        got, want = add_into({}, lhs, rden), add_into({}, rhs, lden)
+        yield (("borcherds", got, want, (k, m, n)) if k
+               else ("commutator", got, want, (m, n)))
 
     ba_states = {}
     for n in win:
-        rhs = {}
+        rden, rhs = 1, {}
         for j in range(0, bab - n):
             if n + j not in ba_states:
-                ba_states[n + j] = state_mode(L, b, n + j, a)
+                ba_states[n + j] = _state_ints(L, b, n + j, a)
             base = ba_states[n + j]
-            if not base:
+            if not base[1]:
                 continue
             for _ in range(j):
-                base = translate(L, base)
-            sgn = Q(-1) if (n + j + 1) % 2 else Q(1)
-            add_into(rhs, base, sgn / factorial(j))
-        yield "skew", prod(n), rhs, n
+                base = _virasoro_ints(L, -1, base)
+            sgn = -1 if (n + j + 1) % 2 else 1
+            rden = add_over(rhs, rden, base[0] * factorial(j), base[1], sgn)
+        pden, lhs = prod(n)
+        yield "skew", add_into({}, lhs, rden), add_into({}, rhs, pden), n
 
 
 def random_triples(L: HypLattice, rng, count, max_degree):

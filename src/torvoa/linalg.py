@@ -1,18 +1,20 @@
 """Exact linear algebra over rationals: sparse vectors {key: Fraction},
-one sparse reduced row echelon kernel (``echelon``) on which the rank,
-``nullspace`` and ``invert`` are built, and the one check counter
-(``tally``).
+their int form (den, {key: numerator}), one sparse reduced row echelon
+kernel (``echelon``) on which the rank, ``nullspace`` and ``invert`` are
+built, and the one check counter (``tally``).
 
 A sparse vector stores no zero.  ``merge`` and ``add_into`` are the only
 code that adds into one, so every layer's sums keep that rule: an entry
-that cancels is deleted.  The matrices of the singular-vector search are a
-few percent dense, so the kernel keeps its rows as sparse dicts and never
-touches a zero entry.
+that cancels is deleted.  ``add_over`` sums int forms over the lcm of
+their denominators; ``to_ints`` and ``to_fractions`` convert.  The matrices
+of the singular-vector search are a few percent dense, so the kernel keeps
+its rows as sparse dicts and never touches a zero entry.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
 Q = Fraction
 
@@ -44,6 +46,34 @@ def add_into(out, vec, scale=1):
     return out
 
 
+def add_over(out, den, pden, piece, scale=1):
+    """out / den += scale * piece / pden for int numerator vectors, in place
+    over lcm(den, pden); returns that denominator."""
+    if not piece:
+        return den
+    if den % pden:
+        grown = lcm(den, pden)
+        up = grown // den
+        for k in out:
+            out[k] *= up
+        den = grown
+    add_into(out, piece, scale * (den // pden))
+    return den
+
+
+def to_ints(vec):
+    """A sparse vector with rational values as (den, {key: numerator}) over
+    the lcm of its denominators."""
+    den = lcm(*(cf.denominator for cf in vec.values()))
+    return den, {k: cf.numerator * (den // cf.denominator)
+                 for k, cf in vec.items()}
+
+
+def to_fractions(den, nums):
+    """The sparse vector nums / den with Fraction values."""
+    return {k: Q(v, den) for k, v in nums.items()}
+
+
 def vec_add(a, b, scale=1):
     """The sparse vector a + scale * b."""
     return add_into(dict(a), b, scale)
@@ -55,7 +85,7 @@ def vec_scale(a, s):
 
 
 def vec_eq(a, b):
-    return vec_add(a, b, Q(-1)) == {}
+    return vec_add(a, b, -1) == {}
 
 
 def tally(cases):

@@ -32,12 +32,12 @@ of :x_i x_j:(m) that adds each second current's image once.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .finite_lie_data import FiniteModule, GLModule, ReductiveF, ValidationError
-from .linalg import add_into, merge, nullspace, tally, vec_add, vec_scale
+from .linalg import (add_into, merge, nullspace, tally, to_ints, vec_add,
+                     vec_scale)
 
 Q = Fraction
 
@@ -375,8 +375,8 @@ def _casimir_tensor(fd: ReductiveF, gamma: CentralCharacter):
             for i, xi in xc.items():
                 for j, yj in yc.items():
                     merge(T, (i, j), scale * xi * yj)
-    D = math.lcm(*(cf.denominator for cf in T.values()))
-    return {ij: int(cf * D) for ij, cf in T.items()}, D
+    D, T = to_ints(T)
+    return T, D
 
 
 def _integral(cf):

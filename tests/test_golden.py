@@ -6,7 +6,8 @@ the run file of the same name next to it, or else from
 demos/reference.torvoa, with the command replaced in either case.
 verify-realization-n2-natural.torvoa puts the natural tops at N = 2 on
 half-integral lattice points.  verify-voa is left out because one run
-takes 15-24 s on a shared 2-vCPU host (Python 3.11); its Borcherds window
+takes about 5 s (4.7-5.5 s in three runs on a shared 2-vCPU host, Python
+3.11), a seventh of Tier-1's wall time; its Borcherds window
 is fixed at 2, whatever the run file's window.  A CI step outside Tier-1
 diffs its report against golden/verify-voa.json.
 """

@@ -3,7 +3,7 @@ import pickle
 import random
 from collections import Counter
 from fractions import Fraction as Q
-from math import factorial, prod
+from math import factorial, gcd, prod
 
 import pytest
 
@@ -17,7 +17,7 @@ from torvoa.lattice_fock import (_KeyFraction, _canon, _exp_term, _insert_osc,
                                  _term_apply, coset_point, heis_act_gen,
                                  random_triples, state_degree, translate,
                                  voa_sweep)
-from torvoa.linalg import vec_add
+from torvoa.linalg import vec_add, vec_scale
 
 
 @pytest.fixture(scope="module")
@@ -538,6 +538,78 @@ class TestAxioms:
                                    borcherds_window=2)
         assert [data for label, data in failures
                 if label == "commutator" and data[0] == -3]
+
+
+S, T = Q(1, 3), Q(-2, 5)
+
+
+def _mix(v, w):
+    """S v + T w."""
+    return vec_add(vec_scale(v, S), w, T)
+
+
+def _rational_triple(L):
+    """Two-term N = 1 states with coefficients S and T, through exponentials
+    on both isotropic directions and the sign cocycle."""
+    return (_mix(vacuum_vector(L, beta=(1,)), osc_vec(L, [(0, -1)])),
+            _mix(vacuum_vector(L, m=(1,)), osc_vec(L, [(1, -2)], m=(-1,))),
+            _mix(osc_vec(L, [(1, -1)]), vacuum_vector(L, m=(1,), beta=(1,))))
+
+
+class TestRationalCoefficients:
+    """States and vectors with coefficients other than 1, which no random
+    state has: the modes are linear over Q, the axioms hold, and the int
+    core hands back reduced int vectors."""
+
+    @pytest.mark.parametrize("N, alpha", [(1, 0), (2, 0), (2, Q(1, 2))])
+    def test_modes_are_linear(self, N, alpha):
+        L = HypLattice(N)
+        at = (alpha,) + (0,) * (N - 1)
+        one = (1,) + (0,) * (N - 1)
+        v = osc_vec(L, [(0, -1), (N, -2)], alpha=at, m=one)
+        w = osc_vec(L, [(N, -1)], alpha=at, beta=one)
+        a = osc_vec(L, [(N, -1)], m=one)
+        b = osc_vec(L, [(0, -2)], beta=one)
+        seen = 0
+        for n in range(-3, 3):
+            got = state_mode(L, a, n, _mix(v, w))
+            assert got == _mix(state_mode(L, a, n, v), state_mode(L, a, n, w))
+            seen += bool(got)
+            got = state_mode(L, _mix(a, b), n, v)
+            assert got == _mix(state_mode(L, a, n, v), state_mode(L, b, n, v))
+            seen += bool(got)
+            # a half-integral y lands on integral points at alpha = 1/2
+            for y in (tuple(2 * x for x in one), tuple(Q(x, 2) for x in one)):
+                y += (0,) * N
+                e = L.form(y, next(iter(v))[1]) + n
+                factors = (("osc", N, 1),)
+                got = field_mode(L, factors, y, e, _mix(v, w))
+                assert got == _mix(field_mode(L, factors, y, e, v),
+                                   field_mode(L, factors, y, e, w))
+                seen += bool(got)
+        # every mode above is nonzero, so no side is trivially empty
+        assert seen == 24
+
+    def test_axioms_on_rational_states(self, lat1):
+        assert voa_axiom_check(lat1, *_rational_triple(lat1), window=2,
+                               borcherds_window=2) == []
+
+    def test_int_core_returns_reduced_vectors(self, monkeypatch):
+        seen = []
+        core = lattice_fock._chains_on
+
+        def recorded(*args):
+            seen.append(core(*args))
+            return seen[-1]
+
+        monkeypatch.setattr(lattice_fock, "_chains_on", recorded)
+        L = HypLattice(1)
+        assert voa_axiom_check(L, *_rational_triple(L), window=1,
+                               borcherds_window=1) == []
+        assert any(den > 1 for den, _nums in seen)
+        for den, nums in seen:
+            _check_entry((den, nums))
+            assert gcd(den, *nums.values()) == 1, (den, nums)
 
 
 def _dropped_count(terms):

@@ -1,12 +1,14 @@
 """perfbench/tracer.py wraps torvoa's layer entry points by module and
 attribute name.  A rename or a direct import that breaks the traced
-benchmark run (``perfbench/run.py --trace 1``) fails here."""
+benchmark run (``perfbench/run.py --trace 1``) fails here, on the
+realization path and on the vertex-algebra check's own path."""
 
 import importlib.util
 from pathlib import Path
 
 import torvoa
 from torvoa.algebra_core import g_sym, k_sym
+from torvoa.lattice_fock import heis_act_gen, vacuum_vector, voa_axiom_check
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
@@ -52,3 +54,26 @@ def test_install_traces_the_engine_and_uninstall_restores(params_n1):
         + calls["lattice_fock.exp_term"]
     for owner, attr, original in originals:
         assert owner.__dict__[attr] is original
+
+
+def test_traced_voa_check_counts_every_engine_lookup(params_n1):
+    # the int core of the field and state modes must reach the lattice
+    # engine through its module attribute, so the traced voa run counts
+    # every memo lookup and its lattice_fock.cache.hit_ratio stays in [0, 1]
+    tracer_mod = _load_tracer()
+    tracer = tracer_mod.Tracer()
+    tracer.install(torvoa)
+    try:
+        module = torvoa.RealizationModule(params_n1)
+        lat = module.lat
+        v1 = heis_act_gen(lat, 1, -1, vacuum_vector(lat))
+        assert voa_axiom_check(lat, vacuum_vector(lat, beta=(1,)),
+                               vacuum_vector(lat, m=(1,)), v1, window=1,
+                               borcherds_window=1) == []
+    finally:
+        tracer.uninstall()
+    calls = {name: row["calls"] for name, row in tracer.summary().items()}
+    memo = tracer_mod.memo_entries([module])
+    assert calls["lattice_fock.term_apply"] > 0
+    assert 0 < memo["lattice_fock"] <= calls["lattice_fock.term_apply"] \
+        + calls["lattice_fock.exp_term"]
