@@ -33,7 +33,8 @@ from functools import cache
 from math import ceil, factorial, gcd, lcm
 from operator import mul
 
-from .linalg import add_into, add_over, merge, tally, to_fractions, to_ints
+from .linalg import (add_into, add_over, cross, merge, tally, to_fractions,
+                     to_ints)
 
 Q = Fraction
 
@@ -539,7 +540,7 @@ def _axiom_cases(L, a, b, c, window, borcherds_window):
                 sgn = -1 if j % 2 else 1
                 rden = add_over(rhs, rden, *ab(m + k - j, n + j), sgn * cf)
         # tally compares the two sides cross-multiplied
-        got, want = add_into({}, lhs, rden), add_into({}, rhs, lden)
+        got, want = cross((lden, lhs), (rden, rhs))
         yield (("borcherds", got, want, (k, m, n)) if k
                else ("commutator", got, want, (m, n)))
 
@@ -556,8 +557,7 @@ def _axiom_cases(L, a, b, c, window, borcherds_window):
                 base = _virasoro_ints(L, -1, base)
             sgn = -1 if (n + j + 1) % 2 else 1
             rden = add_over(rhs, rden, base[0] * factorial(j), base[1], sgn)
-        pden, lhs = prod(n)
-        yield "skew", add_into({}, lhs, rden), add_into({}, rhs, pden), n
+        yield "skew", *cross(prod(n), (rden, rhs)), n
 
 
 def random_triples(L: HypLattice, rng, count, max_degree):

@@ -6,9 +6,10 @@ built, and the one check counter (``tally``).
 A sparse vector stores no zero.  ``merge`` and ``add_into`` are the only
 code that adds into one, so every layer's sums keep that rule: an entry
 that cancels is deleted.  ``add_over`` sums int forms over the lcm of
-their denominators; ``to_ints`` and ``to_fractions`` convert.  The matrices
-of the singular-vector search are a few percent dense, so the kernel keeps
-its rows as sparse dicts and never touches a zero entry.
+their denominators; ``to_ints`` and ``to_fractions`` convert, and
+``cross`` puts two int forms over each other's denominators for ``tally``.
+The matrices of the singular-vector search are a few percent dense, so the
+kernel keeps its rows as sparse dicts and never touches a zero entry.
 """
 
 from __future__ import annotations
@@ -72,6 +73,13 @@ def to_ints(vec):
 def to_fractions(den, nums):
     """The sparse vector nums / den with Fraction values."""
     return {k: Q(v, den) for k, v in nums.items()}
+
+
+def cross(a, b):
+    """Two int vectors (den, nums) cross-multiplied over each other's
+    denominators: a pair of numerator vectors, equal exactly when a = b."""
+    (aden, anums), (bden, bnums) = a, b
+    return add_into({}, anums, bden), add_into({}, bnums, aden)
 
 
 def vec_add(a, b, scale=1):

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from math import floor
+from math import floor, gcd, lcm
 
 from . import lattice_fock
 from .algebra_core import (BasisSymbol, ConfigError, Params, ToroidalElement,
@@ -39,7 +39,8 @@ from .finite_lie_data import (FiniteModule, GLModule, ReductiveF,
 from .lattice_fock import (HypLattice, _canon, _canon_vec, _exp_term,
                            _insert_osc, coset_point, falling, fock_depth,
                            heis_act_gen, hyp_virasoro_mode, random_osc)
-from .linalg import add_into, merge, tally, vec_add, vec_eq, vec_scale
+from .linalg import (add_over, cross, merge, tally, to_fractions, to_ints,
+                     vec_add, vec_eq, vec_scale)
 from .virasoro_affine import (CentralCharacter, FModule, depth,
                               sugawara_constants)
 
@@ -51,6 +52,12 @@ def unit_r(N, a, value=1):
     return tuple(value if i == a - 1 else 0 for i in range(N))
 
 
+def _ints(vec):
+    """A module vector in int form, its lattice points in key form."""
+    return to_ints({((osc, _canon_vec(lat)), fkey): cf
+                    for ((osc, lat), fkey), cf in vec.items()})
+
+
 class RealizationModule:
     """Bounded module for the toroidal algebra: Fock coset (x) induced module.
 
@@ -60,6 +67,13 @@ class RealizationModule:
     the distinguished one-dimensional top).  The top's identity scalar
     ``h`` is ``W.id_scalar``; the default ``W`` is the trivial gl_N module
     with identity scalar N nu c.
+
+    The action computes on int vectors (den, {key: numerator}) in one core,
+    ``_act_ints``, which reads each generator's plan in int form from a
+    per-symbol memo (``_plan_cache``).  ``_term_cache`` holds the chains
+    with an M_f factor as int entries; Fock-only chains are read from the
+    lattice memo.  Only the public actions (``g_act_symbol``, ``g_act``,
+    ``_apply_ordered``) build Fractions, one per output entry.
     """
 
     def __init__(self, params: Params, alpha=None, V: FiniteModule = None,
@@ -83,6 +97,7 @@ class RealizationModule:
         self.fmod = FModule(self.fd, self.gamma0, self.V, self.W,
                             self.h_hei, self.h_vir, vacuum=vacuum)
         self._vacuum_companion = None
+        self._plan_cache = {}
         self._term_cache = {}
 
     # -- construction helpers --------------------------------------------
@@ -203,11 +218,26 @@ class RealizationModule:
             return plan
         raise ConfigError(f"cannot realize tag {sym.tag!r}")
 
+    def _plan_ints(self, sym: BasisSymbol):
+        """``realize_plan`` in int form, memoized per symbol:
+        (den, [(num, (fock, ffac, y, e)), ...]) with e in key form and no
+        zero coefficient."""
+        hit = self._plan_cache.get(sym)
+        if hit is None:
+            plan = [(cf, chain) for cf, *chain in self.realize_plan(sym) if cf]
+            den = lcm(*(cf.denominator for cf, _chain in plan))
+            hit = self._plan_cache[sym] = (den, [
+                (cf.numerator * (den // cf.denominator),
+                 (fock, ffac, y, _canon(e)))
+                for cf, (fock, ffac, y, e) in plan])
+        return hit
+
     # -- normally ordered application ----------------------------------------
 
     def _term_ordered(self, fock, ffac, y, e, fk, fkey):
         """One basis monomial through a chain with an M_f factor at one
-        exponent; memoized on the module so window sweeps share work.
+        exponent, as (den, {key: numerator}); memoized on the module so
+        window sweeps share work.
 
         The Fock factors and the M_f factor act on different tensor factors
         and commute, so the z^e coefficient of the chain is the sum over e2
@@ -219,69 +249,89 @@ class RealizationModule:
         if hit is not None:
             return hit
         (osc, lat), (mono, top) = fk, fkey
-        out = {}
+        den, out = 1, {}
         # an M_f field of weight w kills depth-d monomials below z^(-d-w);
         # the Fock product vanishes below its minimal exponent
         lo = -depth(mono) - (2 if ffac[0] == "fvir" else 1)
         hi = e - lattice_fock._term_min_exponent(self.lat, fock, y, osc, lat)
         for e2 in range(lo, floor(hi) + 1):
-            den, fpart = lattice_fock._term_apply(self.lat, fock, y, osc, lat,
-                                                  e - e2)
+            pden, fpart = lattice_fock._term_apply(self.lat, fock, y, osc, lat,
+                                                   e - e2)
             if not fpart:
                 continue
             sym = (("L", -e2 - 2) if ffac[0] == "fvir"
                    else ("f", ffac[1], -e2 - 1))
-            for fkey2, c2 in self.fmod.apply_sym(sym, mono, top).items():
-                num, d = c2.numerator, c2.denominator * den
-                for fk2, c1 in fpart.items():
-                    merge(out, (fk2, fkey2), Q(c1 * num, d))
-        self._term_cache[key] = out
-        return out
+            fden, fnums = to_ints(self.fmod.apply_sym(sym, mono, top))
+            den = add_over(out, den, pden * fden,
+                           {(fk2, fkey2): c1 * c2 for fkey2, c2 in fnums.items()
+                            for fk2, c1 in fpart.items()})
+        hit = self._term_cache[key] = (den, out)
+        return hit
+
+    def _chains_ints(self, cden, chains, vden, vnums):
+        """The sum over the (num, (fock, ffac, y, e)) of ``chains`` of
+        num / cden times the chain on the int vector vnums / vden, keys in
+        key form (y None: no exponential).  A Fock-only chain is read from
+        the lattice engine's memo and stored nowhere else.  The result is
+        reduced: gcd(den, numerators) = 1."""
+        den, out = 1, {}
+        for num, (fock, ffac, y, e) in chains:
+            for ((osc, lat), fkey), cf in vnums.items():
+                if ffac is None:
+                    tden, piece = lattice_fock._term_apply(self.lat, fock, y,
+                                                           osc, lat, e)
+                    piece = {(fk2, fkey): c for fk2, c in piece.items()}
+                else:
+                    tden, piece = self._term_ordered(fock, ffac, y, e,
+                                                     (osc, lat), fkey)
+                den = add_over(out, den, tden, piece, num * cf)
+        den *= cden * vden
+        g = gcd(den, *out.values())
+        return den // g, {k: v // g for k, v in out.items()}
+
+    def _act_ints(self, sym: BasisSymbol, den, nums):
+        """The int core of the action: ``sym`` on the int vector nums / den,
+        keys in key form, as a reduced int vector."""
+        return self._chains_ints(*self._plan_ints(sym), den, nums)
+
+    def _element_ints(self, x: ToroidalElement, den, nums):
+        """``_act_ints`` of each term of ``x``, summed over one denominator
+        (not reduced)."""
+        oden, out = 1, {}
+        for sym, cf in x.terms.items():
+            sden, snums = self._act_ints(sym, den, nums)
+            oden = add_over(out, oden, sden * cf.denominator, snums,
+                            cf.numerator)
+        return oden, out
 
     def _apply_ordered(self, fock, ffac, y, e, vec):
         """One plan term, without its coefficient, on a vector (y None: no
-        exponential).  A Fock-only chain is read from the lattice engine's
-        memo and stored nowhere else."""
-        out = {}
-        e = _canon(e)
-        for ((osc, lat), fkey), cf in vec.items():
-            lat = _canon_vec(lat)
-            if ffac is not None:
-                add_into(out, self._term_ordered(fock, ffac, y, e, (osc, lat),
-                                                 fkey), cf)
-                continue
-            den, nums = lattice_fock._term_apply(self.lat, fock, y, osc, lat,
-                                                 e)
-            num, d = cf.numerator, cf.denominator * den
-            for fk2, c1 in nums.items():
-                merge(out, (fk2, fkey), Q(c1 * num, d))
-        return out
+        exponential)."""
+        return to_fractions(*self._chains_ints(
+            1, [(1, (fock, ffac, y, _canon(e)))], *_ints(vec)))
 
     # -- the action ------------------------------------------------------------
 
     def g_act_symbol(self, sym: BasisSymbol, vec):
-        out = {}
-        for coeff, *chain in self.realize_plan(sym):
-            add_into(out, self._apply_ordered(*chain, vec), coeff)
-        return out
+        return to_fractions(*self._act_ints(sym, *_ints(vec)))
 
     def g_act(self, x, vec):
         """Action of a basis symbol or element on a vector."""
         if isinstance(x, BasisSymbol):
             return self.g_act_symbol(x, vec)
         if isinstance(x, ToroidalElement):
-            out = {}
-            for sym, cf in x.terms.items():
-                add_into(out, self.g_act_symbol(sym, vec), cf)
-            return out
+            return to_fractions(*self._element_ints(x, *_ints(vec)))
         raise ConfigError("g_act expects a basis symbol or an element")
 
     def _commutator_sides(self, a: BasisSymbol, b: BasisSymbol, vec):
-        """([a, b] v, a (b v) - b (a v))."""
-        lhs = self.g_act(bracket_symbols(self.params, a, b), vec)
-        rhs = vec_add(self.g_act_symbol(a, self.g_act_symbol(b, vec)),
-                      self.g_act_symbol(b, self.g_act_symbol(a, vec)), Q(-1))
-        return lhs, rhs
+        """([a, b] v, a (b v) - b (a v)) in int form, cross-multiplied over
+        their denominators."""
+        v = _ints(vec)
+        rden, rhs = self._act_ints(a, *self._act_ints(b, *v))
+        rden = add_over(rhs, rden, *self._act_ints(b, *self._act_ints(a, *v)),
+                        -1)
+        return cross(self._element_ints(bracket_symbols(self.params, a, b), *v),
+                     (rden, rhs))
 
     def commutator_sweep(self, rng: random.Random, count, jmax, rmax,
                          max_depth):
@@ -511,6 +561,7 @@ def field_commutator_window_check(module: RealizationModule, window=3,
         box = _index_box(params.N, 1)
         rm_samples = [(r, m) for r in box for m in box]
     modes = range(-window, window + 1)
+    act = module._act_ints
 
     def cases():
         for name, akind, bkind in pairs:
@@ -518,16 +569,18 @@ def field_commutator_window_check(module: RealizationModule, window=3,
                 asyms = {i: field_symbol(params, akind, i, r) for i in modes}
                 bsyms = {jj: field_symbol(params, bkind, jj, m) for jj in modes}
                 for vec in vectors:
-                    a_imgs = {i: module.g_act_symbol(asyms[i], vec) for i in modes}
-                    b_imgs = {jj: module.g_act_symbol(bsyms[jj], vec) for jj in modes}
+                    v = _ints(vec)
+                    a_imgs = {i: act(asyms[i], *v) for i in modes}
+                    b_imgs = {jj: act(bsyms[jj], *v) for jj in modes}
                     for i in modes:
                         for jj in modes:
-                            lhs = vec_add(
-                                module.g_act_symbol(asyms[i], b_imgs[jj]),
-                                module.g_act_symbol(bsyms[jj], a_imgs[i]), Q(-1))
-                            rhs = module.g_act(rhs_mode_element(
-                                params, akind, r, bkind, m, i, jj), vec)
-                            yield name, lhs, rhs, (asyms[i], bsyms[jj], vec)
+                            lden, lhs = act(asyms[i], *b_imgs[jj])
+                            lden = add_over(lhs, lden,
+                                            *act(bsyms[jj], *a_imgs[i]), -1)
+                            rhs = module._element_ints(rhs_mode_element(
+                                params, akind, r, bkind, m, i, jj), *v)
+                            yield (name, *cross((lden, lhs), rhs),
+                                   (asyms[i], bsyms[jj], vec))
     return tally(cases())
 
 

@@ -9,7 +9,9 @@ half-integral lattice points.  verify-voa is left out because one run
 takes about 5 s (4.7-5.5 s in three runs on a shared 2-vCPU host, Python
 3.11), a seventh of Tier-1's wall time; its Borcherds window
 is fixed at 2, whatever the run file's window.  A CI step outside Tier-1
-diffs its report against golden/verify-voa.json.
+diffs its report against golden/verify-voa.json.  Likewise verify-fields
+runs here at window 1 only; a CI step diffs its default-window report
+(about 4 s) against golden/verify-fields.json.
 """
 
 from pathlib import Path

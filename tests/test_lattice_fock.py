@@ -270,8 +270,9 @@ def _fraction_keyed(vec):
 class TestKeyForm:
     """In every memo key an integral lattice coordinate, exponential vector
     component or z-exponent is an int and any other the interned
-    _KeyFraction; lattice memo entries are int numerators over an int
-    denominator, and public vectors have Fraction coefficients."""
+    _KeyFraction; lattice and realization memo entries are int numerators
+    over an int denominator, and public vectors have Fraction
+    coefficients."""
 
     @staticmethod
     def _check_lattice_memo(L):
@@ -288,11 +289,14 @@ class TestKeyForm:
     def _check_realization_memo(cls, module):
         cls._check_lattice_memo(module.lat)
         assert module._term_cache
-        for (_fock, _ffac, y, e, (_osc, lat), _fkey), out in \
+        for (_fock, _ffac, y, e, (_osc, lat), _fkey), (den, nums) in \
                 module._term_cache.items():
             ys = y or ()
             assert all(map(_key_form, ys + lat + (e,))), (ys, e, lat)
-            _check_realization(out)
+            # an int entry like the lattice memo's, over module keys
+            _check_entry((den, {}))
+            for (fk, _fkey2), num in nums.items():
+                _check_entry((den, {fk: num}))
 
     def test_interned_coordinate(self):
         # one object per non-integral value, equal and hash-equal to the

@@ -7,7 +7,8 @@ import pytest
 
 from torvoa import (ConfigError, RealizationModule, exp_vertex_mode, heis_act,
                     hyp_virasoro_mode)
-from torvoa.algebra_core import bracket_symbols, d_sym, dt_sym, g_sym, k_sym
+from torvoa.algebra_core import (ToroidalElement, bracket_symbols, d_sym,
+                                 dt_sym, g_sym, k_sym, random_symbol)
 from torvoa.toroidal_realization import (RELATION_IDS, _index_box,
                                          default_identity_pairs,
                                          field_commutator_window_check,
@@ -466,3 +467,79 @@ class TestTensorSplit:
             assert ffac == ("fvir",) or ffac[0] == "cur", (fock, ffac)
         if M.is_standard_top():
             assert M.vacuum_companion().lat is M.lat
+
+
+S, T = Q(1, 3), Q(-2, 5)
+
+
+def _mix(v, w):
+    """S v + T w."""
+    return vec_add(vec_scale(v, S), w, T)
+
+
+def _fractions(vec):
+    """``vec``, after checking that every coefficient is a nonzero Fraction."""
+    for cf in vec.values():
+        assert type(cf) is Q and cf, vec
+    return vec
+
+
+class TestRationalCoefficients:
+    """Vectors and elements with coefficients other than 1, which no random
+    vector has: the action is linear over Q, its outputs are nonzero
+    Fractions, and the int plans the action reads are ``realize_plan``'s."""
+
+    @pytest.mark.parametrize("fixture", ["module_n2", "module_n2_natural"])
+    def test_action_is_linear(self, fixture, request):
+        M = request.getfixturevalue(fixture)
+        vectors = M.sample_vectors(2)
+        rng = random.Random(22)
+        seen = 0
+        for _ in range(16):
+            x = random_symbol(M.params, rng, jmax=2, rmax=1,
+                              tags=("g", "k", "d", "dt"))
+            v, w = rng.sample(vectors, 2)
+            got = _fractions(M.g_act(x, _mix(v, w)))
+            assert got == _mix(_fractions(M.g_act(x, v)),
+                               _fractions(M.g_act(x, w))), (x, v, w)
+            seen += bool(got)
+        assert seen > 8
+
+    @pytest.mark.parametrize("fixture", ["module_n2", "module_n2_natural"])
+    def test_element_acts_as_sum_of_terms(self, fixture, request):
+        M = request.getfixturevalue(fixture)
+        p = M.params
+        r = unit_r(p.N, 1)
+        x = ToroidalElement(p, {g_sym(p, -1, r, 0): S, k_sym(p, 0, r, 1): T,
+                                d_sym(p, 1, r, 0): Q(7, 2),
+                                dt_sym(p, -1, (0,) * p.N, 2): Q(-5, 3)})
+        assert len(x.terms) > 2
+        vectors = M.sample_vectors(2)
+        for v in vectors + [_mix(vectors[1], vectors[-1])]:
+            want = {}
+            for sym, cf in x.terms.items():
+                want = vec_add(want, M.g_act_symbol(sym, v), cf)
+            assert want
+            assert _fractions(M.g_act(x, v)) == want, v
+
+    @pytest.mark.parametrize("fixture", ["module_n1", "module_n2",
+                                         "module_n2_natural"])
+    def test_int_plan_is_realize_plan(self, fixture, request):
+        M = request.getfixturevalue(fixture)
+        p = M.params
+        families = [(k_sym, p.N + 1), (g_sym, p.g_dot.dim),
+                    (d_sym, p.N + 1), (dt_sym, p.N + 1)]
+        for make, count in families:
+            for idx in range(count):
+                for j in (-2, 0, 1):
+                    for r in _index_box(p.N, 1):
+                        sym = make(p, j, r, idx)
+                        den, plan = M._plan_ints(sym)
+                        assert M._plan_ints(sym)[1] is plan
+                        assert type(den) is int and den > 0
+                        for num, (_fock, _ffac, _y, e) in plan:
+                            assert type(num) is int and num
+                            assert type(e) is int
+                        assert [(Q(num, den), *chain) for num, chain in plan] \
+                            == [(cf, *chain) for cf, *chain
+                                in M.realize_plan(sym) if cf], sym
