@@ -261,7 +261,7 @@ class RealizationModule:
                 continue
             sym = (("L", -e2 - 2) if ffac[0] == "fvir"
                    else ("f", ffac[1], -e2 - 1))
-            fden, fnums = to_ints(self.fmod.apply_sym(sym, mono, top))
+            fden, fnums = self.fmod.apply_sym(sym, mono, top)
             den = add_over(out, den, pden * fden,
                            {(fk2, fkey2): c1 * c2 for fkey2, c2 in fnums.items()
                             for fk2, c1 in fpart.items()})
@@ -603,6 +603,8 @@ def _top_action_cases(module, window, m_window):
     box = _index_box(N, window)
     mbox = _index_box(N, m_window)
     tops = [(iv, iw) for iv in range(module.V.dim) for iw in range(module.W.dim)]
+    gl = {(pp, jd): module.W.gl_action(pp, jd)
+          for pp in range(1, N + 1) for jd in range(1, N + 1)}
     for r in box:
         for m in mbox:
             mr = tuple(x + y for x, y in zip(m, r))
@@ -632,7 +634,7 @@ def _top_action_cases(module, window, m_window):
                                      Q(m[jd - 1]) + module.alpha[jd - 1])
                     for pp in range(1, N + 1):
                         if r[pp - 1]:
-                            mat = module.W.gl_action(pp, jd)
+                            mat = gl[pp, jd]
                             for iw2 in range(module.W.dim):
                                 if mat[iw2][iw]:
                                     want = vec_add(

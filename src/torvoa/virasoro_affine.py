@@ -21,25 +21,42 @@ mode with zero at once and does not store it.
 
 An ``FModule`` keeps two memo tables: ``apply_sym``'s image of each mode
 symbol on each PBW basis monomial, and the image of each mode of the
-corrected Virasoro field L'(z) on each basis monomial.  L'(m) is computed
-once per monomial from its definition: L(m) minus the normally ordered
-Sugawara quadratics of g, sl_N and the Heisenberg current, plus the dI
-correction.  The quadratics are one tensor T over basis currents, in ints
-over a common denominator, and L'(m) is one pass over T and the split modes
-of :x_i x_j:(m) that adds each second current's image once.
-``sugawara_mode`` extends it linearly to vectors.
+corrected Virasoro field L'(z) on each basis monomial.  Both hold reduced
+int forms (den, {(mono, top): numerator}) (``linalg``), and every empty
+image is the one shared entry ``_EMPTY``.  L'(m) is computed once per
+monomial from its definition: L(m) minus the normally ordered Sugawara
+quadratics of g, sl_N and the Heisenberg current, plus the dI correction.
+The quadratics are one tensor T over basis currents, in ints over a common
+denominator, and L'(m) is one pass over T and the split modes of
+:x_i x_j:(m) that adds each second current's image once.  ``act``,
+``act_current`` and ``sugawara_mode`` extend the images linearly to
+vectors; they are the Fraction boundary, converting their input once and
+building one Fraction per output entry.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 
 from .finite_lie_data import FiniteModule, GLModule, ReductiveF, ValidationError
-from .linalg import (add_into, merge, nullspace, tally, to_ints, vec_add,
-                     vec_scale)
+from .linalg import (add_into, add_over, merge, nullspace, tally,
+                     to_fractions, to_ints, vec_add, vec_scale)
 
 Q = Fraction
+
+# the one empty image both memo tables share
+_EMPTY = (1, {})
+
+
+def _reduced(den, nums):
+    """The int form nums / den with gcd 1, or ``_EMPTY``."""
+    if not nums:
+        return _EMPTY
+    g = gcd(den, *nums.values())
+    return (den // g, {k: v // g for k, v in nums.items()}) if g > 1 \
+        else (den, nums)
 
 
 @dataclass(frozen=True)
@@ -155,10 +172,11 @@ class FModule:
         # once the level is known not to be critical
         self._casimir = None
         # the two memo tables: apply_sym's (sym, mono, top) and the
-        # corrected Virasoro field's (m, mono, top) images.  Their entries
-        # share one copy of each mode symbol and L' coefficient; without
-        # that, equal copies raised the peak RSS of perfbench's sugawara
-        # workload by 4.5% (Python 3.11, x86-64)
+        # corrected Virasoro field's (m, mono, top) images, each a reduced
+        # int form.  Their keys share one copy of each mode symbol, and every
+        # empty image is the one _EMPTY; unshared, each of the two cost about
+        # 0.6 MB of the 6.2 MB that a cold sweep of perfbench's sugawara
+        # workload retains (tracemalloc, Python 3.11, x86-64)
         self._cache = {}
         self._sugawara_cache = {}
         self._shared = {}
@@ -166,9 +184,10 @@ class FModule:
     # -- static structure ---------------------------------------------------
 
     def _build_zero_modes(self):
-        """Per basis current, its top action: source top -> image
-        {((), dst_top): cf}.  A g current acts on V, E_ab on W through its
-        traceless part, plus h_hei / N on the diagonal when a = b."""
+        """Per basis current, its top action: source top -> int image
+        (den, {((), dst_top): numerator}).  A g current acts on V, E_ab on W
+        through its traceless part, plus h_hei / N on the diagonal when
+        a = b."""
         table = []
         for sym in self.fd.basis:
             if sym[0] == "g":
@@ -185,7 +204,7 @@ class FModule:
                     merge(img, ((), dst), row[top[slot]])
                 merge(img, ((), top), scalar)
                 if img:
-                    images[top] = img
+                    images[top] = to_ints(img)
             table.append(images)
         return table
 
@@ -196,24 +215,28 @@ class FModule:
 
     def _top_apply(self, sym, top):
         if sym[0] == "L":
-            return {((), top): self.h_vir} if self.h_vir else {}
-        return self._zero_action[sym[1]].get(top, {})
+            h = self.h_vir
+            return (h.denominator, {((), top): h.numerator}) if h else _EMPTY
+        return self._zero_action[sym[1]].get(top, _EMPTY)
 
     def apply_sym(self, sym, mono, top):
-        """sym * (mono acting on top); returns a cached dict, do not mutate.
+        """sym * (mono acting on top) as a reduced int form
+        (den, {(mono, top): numerator}); returns a cached entry, do not
+        mutate.
 
         A mode above the monomial's depth gives zero by grading, which is
         returned at once and not stored."""
         if sym[0] == "C":
             value = getattr(self.gamma, sym[1])
-            return {(mono, top): value} if value else {}
+            return ((value.denominator, {(mono, top): value.numerator})
+                    if value else _EMPTY)
         key = (sym, mono, top)
         hit = self._cache.get(key)
         if hit is not None:
             return hit
         n = mode_of(sym)
         if n > depth(mono):
-            return {}
+            return _EMPTY
         sym = self._shared.setdefault(sym, sym)
         key = (sym, mono, top)
         reducible = self.vacuum and sym == ("L", -1)
@@ -221,34 +244,45 @@ class FModule:
             if n == 0:
                 out = self._top_apply(sym, top)
             elif reducible:
-                out = {}
+                out = _EMPTY
             else:
-                out = {((sym,), top): Q(1)}
+                out = (1, {((sym,), top): 1})
         elif n < 0 and not reducible and _key(sym) <= _key(mono[0]):
-            out = {((sym,) + mono, top): Q(1)}
+            out = (1, {((sym,) + mono, top): 1})
         else:
             head, rest = mono[0], mono[1:]
-            out = {}
-            for (m2, t2), c2 in self.apply_sym(sym, rest, top).items():
-                add_into(out, self.apply_sym(head, m2, t2), c2)
+            den, acc = 1, {}
+            rden, rnums = self.apply_sym(sym, rest, top)
+            for (m2, t2), c2 in rnums.items():
+                hden, hnums = self.apply_sym(head, m2, t2)
+                den = add_over(acc, den, rden * hden, hnums, c2)
             for bsym, bc in f_bracket(self.fd, sym, head).items():
-                add_into(out, self.apply_sym(bsym, rest, top), bc)
+                bden, bnums = self.apply_sym(bsym, rest, top)
+                den = add_over(acc, den, bc.denominator * bden, bnums,
+                               bc.numerator)
+            out = _reduced(den, acc)
         self._cache[key] = out
         return out
 
     def act(self, sym, vec):
         """Apply one mode or central symbol to a vector."""
-        out = {}
-        for (mono, top), cf in vec.items():
-            add_into(out, self.apply_sym(sym, mono, top), cf)
-        return out
+        return self._extend({sym: 1}, vec)
 
     def act_current(self, combo, n, vec):
         """Apply sum_i combo[i] x_i(n)."""
-        out = {}
-        for i, cf in combo.items():
-            add_into(out, self.act(("f", i, n), vec), cf)
-        return out
+        return self._extend({("f", i, n): cf for i, cf in combo.items()}, vec)
+
+    def _extend(self, combo, vec):
+        """sum over sym of combo[sym] * sym on the Fraction vector ``vec``,
+        summed over one denominator from apply_sym's int images."""
+        cden, cnums = to_ints(combo)
+        vden, vnums = to_ints(vec)
+        den, out = 1, {}
+        for sym, cs in cnums.items():
+            for (mono, top), cf in vnums.items():
+                pden, piece = self.apply_sym(sym, mono, top)
+                den = add_over(out, den, pden, piece, cs * cf)
+        return to_fractions(den * cden * vden, out)
 
     # -- bases ----------------------------------------------------------------
 
@@ -314,14 +348,15 @@ def singular_vectors(module: FModule, depth: int):
     rows = {}
     for col, (mono, top) in enumerate(basis):
         for rsym in raising_symbols(module.fd):
-            img = module.apply_sym(rsym, mono, top)
+            den, nums = module.apply_sym(rsym, mono, top)
             d2 = depth - mode_of(rsym)
             tidx = targets.get(d2)
             if tidx is None:
                 continue
-            for key, cf in img.items():
+            for key, num in nums.items():
                 row_id = (rsym, tidx[key])
-                rows.setdefault(row_id, {})[col] = cf
+                rows.setdefault(row_id, {})[col] = (num if den == 1
+                                                    else Q(num, den))
     null = nullspace(list(rows.values()), len(basis))
     out = []
     for vec in null:
@@ -379,14 +414,9 @@ def _casimir_tensor(fd: ReductiveF, gamma: CentralCharacter):
     return T, D
 
 
-def _integral(cf):
-    # most PBW coefficients are integral, and int products are far cheaper
-    return cf.numerator if cf.denominator == 1 else cf
-
-
 def _sugawara_basis(module: FModule, m, mono, top):
-    """L'(m) on one PBW monomial, from the definition; returns a cached
-    dict, do not mutate."""
+    """L'(m) on one PBW monomial, from the definition, as a reduced int
+    form; returns a cached entry, do not mutate."""
     key = (m, mono, top)
     hit = module._sugawara_cache.get(key)
     if hit is not None:
@@ -395,36 +425,42 @@ def _sugawara_basis(module: FModule, m, mono, top):
     T, D = module._casimir
     d = depth(mono)
     # :x_i x_j:(m) = sum_{k<0} x_i(k) x_j(m-k) + sum_{k>=0} x_j(m-k) x_i(k);
-    # a current mode above the depth d annihilates the monomial.  pending holds
-    # the coefficient of each second application per (symbol, mono, top),
-    # and acc is D times the image
-    pending = {}
+    # a current mode above the depth d annihilates the monomial.  pending /
+    # pden holds the coefficient of each second application per (symbol,
+    # mono, top), and acc / aden is D times the image
+    firsts = []
     for (i, j), tc in T.items():
         for k in range(m - d, d + 1):
             if k < 0:
                 first, second = ("f", j, m - k), ("f", i, k)
             else:
                 first, second = ("f", i, k), ("f", j, m - k)
-            for (m2, t2), c2 in apply_sym(first, mono, top).items():
-                merge(pending, (second, m2, t2), tc * _integral(c2))
-    acc = add_into({}, apply_sym(("L", m), mono, top), D)
+            fden, fnums = apply_sym(first, mono, top)
+            if fnums:
+                firsts.append((second, tc, fden, fnums))
+    pden = lcm(*(fden for _second, _tc, fden, _fnums in firsts))
+    pending = {}
+    for second, tc, fden, fnums in firsts:
+        scale = tc * (pden // fden)
+        for (m2, t2), c2 in fnums.items():
+            merge(pending, (second, m2, t2), scale * c2)
+    aden, lnums = apply_sym(("L", m), mono, top)
+    acc = add_into({}, lnums, D)
     for (sym, m2, t2), cf in pending.items():
-        for key2, c2 in apply_sym(sym, m2, t2).items():
-            merge(acc, key2, cf * _integral(c2))
+        sden, snums = apply_sym(sym, m2, t2)
+        aden = add_over(acc, aden, pden * sden, snums, cf)
     # derivative correction: -(c_vh/c_hei) dI(z) contributes
     # (c_vh/c_hei) (m+1) I(m) at Virasoro mode m
     gamma = module.gamma
     cf = D * gamma.c_vh / gamma.c_hei * (m + 1)
     if cf:
         for i, ci in module.fd.identity_combo().items():
-            add_into(acc, apply_sym(("f", i, m), mono, top), cf * ci)
-    shared = module._shared
-    out = {}
-    for key2, cf in acc.items():
-        cf = Q(cf, D)
-        out[key2] = shared.setdefault(cf, cf)
-    module._sugawara_cache[key] = out
-    return out
+            ic = cf * ci
+            iden, inums = apply_sym(("f", i, m), mono, top)
+            aden = add_over(acc, aden, ic.denominator * iden, inums,
+                            ic.numerator)
+    hit = module._sugawara_cache[key] = _reduced(aden * D, acc)
+    return hit
 
 
 def sugawara_mode(module: FModule, m: int, vec):
@@ -433,10 +469,12 @@ def sugawara_mode(module: FModule, m: int, vec):
     check_generic(module.fd, module.gamma)
     if module._casimir is None:
         module._casimir = _casimir_tensor(module.fd, module.gamma)
-    out = {}
-    for (mono, top), cf in vec.items():
-        add_into(out, _sugawara_basis(module, m, mono, top), cf)
-    return out
+    vden, vnums = to_ints(vec)
+    den, out = 1, {}
+    for (mono, top), cf in vnums.items():
+        pden, piece = _sugawara_basis(module, m, mono, top)
+        den = add_over(out, den, pden, piece, cf)
+    return to_fractions(den * vden, out)
 
 
 def sugawara_test_vectors(module: FModule, rng, per_depth):

@@ -1,9 +1,11 @@
 """perfbench/tracer.py wraps torvoa's layer entry points by module and
 attribute name.  A rename or a direct import that breaks the traced
 benchmark run (``perfbench/run.py --trace 1``) fails here, on the
-realization path and on the vertex-algebra check's own path."""
+realization path, on the vertex-algebra check's own path and on the M_f
+layer's (``sugawara_mode`` and ``singular_vectors``)."""
 
 import importlib.util
+from fractions import Fraction
 from pathlib import Path
 
 import torvoa
@@ -77,3 +79,26 @@ def test_traced_voa_check_counts_every_engine_lookup(params_n1):
     assert calls["lattice_fock.term_apply"] > 0
     assert 0 < memo["lattice_fock"] <= calls["lattice_fock.term_apply"] \
         + calls["lattice_fock.exp_term"]
+
+
+def test_traced_sugawara_counts_every_apply_sym_lookup(params_n1):
+    # apply_sym is the M_f layer's int core under its own name and recurses
+    # through self.apply_sym, so the traced sugawara and singular runs count
+    # every memo lookup and virasoro_affine.cache.hit_ratio stays in [0, 1]
+    tracer_mod = _load_tracer()
+    tracer = tracer_mod.Tracer()
+    tracer.install(torvoa)
+    try:
+        va = torvoa.virasoro_affine
+        module = torvoa.RealizationModule(params_n1)
+        fmod = module.fmod
+        for mono in [()] + fmod.monomials_at(2):
+            va.sugawara_mode(fmod, 1, {(mono, fmod.tops[0]): Fraction(1)})
+        va.singular_vectors(module.vacuum_companion().fmod, 3)
+    finally:
+        tracer.uninstall()
+    calls = {name: row["calls"] for name, row in tracer.summary().items()}
+    memo = tracer_mod.memo_entries([module])
+    assert calls["virasoro_affine.sugawara_mode"] > 0
+    assert calls["virasoro_affine.singular_vectors"] > 0
+    assert 0 < memo["virasoro_affine"] <= tracer.apply_sym_lookups

@@ -1,6 +1,7 @@
 import dataclasses
 import random
 from fractions import Fraction as Q
+from math import gcd
 
 import pytest
 
@@ -145,24 +146,26 @@ class TestModuleAction:
                 assert vec_eq(got, {((), (0, 0)): cf} if cf else {})
 
 
+@pytest.fixture(scope="module")
+def cancelling(fd2, gamma2, sl2):
+    """The natural gl_2 top with h_hei = 1, h_vir = 1/3 and c_sl = 0."""
+    V = build_module(sl2, "trivial")
+    W = build_gl_module(2, "natural")
+    return FModule(fd2, dataclasses.replace(gamma2, c_sl=Q(0)), V, W,
+                   h_hei=Q(1), h_vir=Q(1, 3))
+
+
 class TestNoStoredZero:
     """A sparse vector stores no zero.  On the natural gl_2 top with
     h_hei = 1, E_11(0) = h_hei/2 + (E_11 - I/2) is zero on the second basis
     vector of W; with c_sl = 0 the central symbol c_sl acts by zero."""
 
-    @pytest.fixture(scope="class")
-    def cancelling(self, fd2, gamma2, sl2):
-        V = build_module(sl2, "trivial")
-        W = build_gl_module(2, "natural")
-        return FModule(fd2, dataclasses.replace(gamma2, c_sl=Q(0)), V, W,
-                       h_hei=Q(1), h_vir=Q(1, 3))
-
     def test_cancelled_top_action_is_empty(self, cancelling, fd2):
-        assert all(all(img.values()) for table in cancelling._zero_action
-                   for img in table.values())
+        assert all(all(nums.values()) for table in cancelling._zero_action
+                   for _den, nums in table.values())
         e11 = fd2.e_index(1, 1)
-        assert cancelling.apply_sym(("f", e11, 0), (), (0, 1)) == {}
-        assert cancelling.apply_sym(("C", "c_sl"), (), (0, 0)) == {}
+        assert cancelling.apply_sym(("f", e11, 0), (), (0, 1)) == (1, {})
+        assert cancelling.apply_sym(("C", "c_sl"), (), (0, 0)) == (1, {})
 
     def test_no_image_stores_zero(self, cancelling, fd2):
         syms = [("L", n) for n in range(-2, 3)]
@@ -170,7 +173,8 @@ class TestNoStoredZero:
         for depth in range(3):
             for mono, top in cancelling.basis_at(depth):
                 for sym in syms:
-                    assert all(cancelling.apply_sym(sym, mono, top).values())
+                    assert all(cancelling.apply_sym(sym, mono, top)[1]
+                               .values())
 
 
 class TestSingular:
@@ -424,13 +428,21 @@ class TestSugawaraMemo:
             assert tot == {}, a
 
     def test_memo_entries_share_symbols_and_coefficients(self, case):
+        # both tables hold reduced int forms, every empty image is the one
+        # shared entry, and the keys share one copy of each mode symbol
         module, depth, modes = case
         for v in self.mixed_vectors(module, depth):
             for m in modes:
                 sugawara_mode(module, m, v)
-        values = [cf for img in module._sugawara_cache.values()
-                  for cf in img.values()]
-        assert len({id(cf) for cf in values}) == len(set(values))
+        entries = (list(module._cache.values())
+                   + list(module._sugawara_cache.values()))
+        assert module._sugawara_cache and entries
+        for entry in entries:
+            den, nums = entry
+            assert type(den) is int and den > 0, entry
+            assert all(type(v) is int and v for v in nums.values()), entry
+            assert gcd(den, *nums.values()) == 1, entry
+            assert nums or entry is virasoro_affine._EMPTY
         syms = [sym for sym, _mono, _top in module._cache]
         assert len({id(s) for s in syms}) == len(set(syms))
 
@@ -509,5 +521,98 @@ class TestHeldOnce:
                 for n in range(depth(mono) + 1, depth(mono) + 3):
                     syms = [("L", n)] + [("f", i, n)
                                          for i in range(fmod.fd.dim)]
-                    assert all(fmod.apply_sym(sym, mono, top) == {}
+                    assert all(fmod.apply_sym(sym, mono, top) == (1, {})
                                for sym in syms)
+
+
+S, T = Q(1, 3), Q(-2, 5)
+
+
+def _mix(v, w):
+    """S v + T w."""
+    return vec_add(vec_scale(v, S), w, T)
+
+
+def _fractions(vec):
+    """``vec``, after checking that every coefficient is a nonzero Fraction."""
+    for cf in vec.values():
+        assert type(cf) is Q and cf, vec
+    return vec
+
+
+class TestRationalCoefficients:
+    """Vectors with coefficients other than 1, which no basis vector has.
+    ``act``, ``act_current`` and ``sugawara_mode`` read the int images of
+    ``apply_sym`` and ``L'(m)`` and build one Fraction per output entry:
+    they are linear over Q, their outputs are nonzero Fractions, and central
+    values, Virasoro norms and L'(m) come out exactly."""
+
+    @pytest.fixture(scope="class", params=["n1_standard", "n2_cancelling",
+                                           "n1_vacuum"])
+    def fmod(self, request, module_n1):
+        if request.param == "n2_cancelling":
+            return request.getfixturevalue("cancelling")
+        if request.param == "n1_standard":
+            return module_n1.fmod
+        return module_n1.vacuum_companion().fmod
+
+    @staticmethod
+    def pairs(fmod):
+        """Pairs of basis vectors of depth <= 2, drawn with a fixed seed."""
+        keys = [key for d in range(3) for key in fmod.basis_at(d)]
+        rng = random.Random(23)
+        return [tuple({key: Q(1)} for key in rng.sample(keys, 2))
+                for _ in range(4)]
+
+    def test_act_is_linear(self, fmod):
+        syms = [("L", n) for n in range(-2, 3)] + [("C", "c_vir")]
+        syms += [("f", i, n) for i in range(fmod.fd.dim) for n in (-1, 0, 2)]
+        seen = 0
+        for v, w in self.pairs(fmod):
+            for sym in syms:
+                got = _fractions(fmod.act(sym, _mix(v, w)))
+                assert got == _mix(_fractions(fmod.act(sym, v)),
+                                   _fractions(fmod.act(sym, w))), (sym, v, w)
+                seen += bool(got)
+        assert seen > len(syms)
+
+    def test_act_current_is_linear(self, fmod):
+        dim = fmod.fd.dim
+        combos = [fmod.fd.identity_combo(), {0: Q(1, 2), dim - 1: Q(-3)}]
+        for v, w in self.pairs(fmod):
+            for combo in combos:
+                for n in (-1, 0, 1):
+                    got = _fractions(fmod.act_current(combo, n, _mix(v, w)))
+                    assert got == _mix(
+                        _fractions(fmod.act_current(combo, n, v)),
+                        _fractions(fmod.act_current(combo, n, w))), (n, v, w)
+
+    def test_sugawara_mode_is_linear_and_exact(self, fmod):
+        for v, w in self.pairs(fmod)[:2]:
+            for m in range(-2, 3):
+                got = _fractions(sugawara_mode(fmod, m, _mix(v, w)))
+                assert got == _mix(_fractions(sugawara_mode(fmod, m, v)),
+                                   _fractions(sugawara_mode(fmod, m, w)))
+                assert got == _reference_sugawara(fmod, m, _mix(v, w)), m
+
+    def test_virasoro_norm_is_exact(self, fmod):
+        # L(n) L(-n) on the top is 2n h_vir + (n^3 - n)/12 c_vir; the 1/12
+        # enters through the denominator of an f_bracket coefficient
+        top = fmod.top_vector()
+        for n in (1, 2, 3):
+            got = fmod.act(("L", n), fmod.act(("L", -n), vec_scale(top, S)))
+            want = S * (2 * n * fmod.h_vir
+                        + Q(n ** 3 - n, 12) * fmod.gamma.c_vir)
+            assert _fractions(got) == vec_scale(top, want), n
+
+    def test_central_symbol_returns_its_value(self, module_n1, mod2):
+        for fmod in (module_n1.fmod, mod2):
+            assert fmod.gamma.c_sl == Q(1, 3)
+            keys = fmod.basis_at(0) + fmod.basis_at(1)
+            for mono, top in keys:
+                assert fmod.apply_sym(("C", "c_sl"), mono, top) \
+                    == (3, {(mono, top): 1})
+            v = _mix({keys[0]: Q(1)}, {keys[-1]: Q(1)})
+            for name, value in fmod.gamma.as_dict().items():
+                assert _fractions(fmod.act(("C", name), v)) \
+                    == vec_scale(v, value), name
