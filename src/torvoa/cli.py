@@ -30,13 +30,13 @@ from .characters import (ResourceLimitError, compare, enumerate_weight_spaces,
 from .finite_lie_data import (ValidationError, build_gl_module, build_module,
                               simple_algebra)
 from .lattice_fock import heis_act_gen, random_triples, vacuum_vector, voa_sweep
-from .linalg import tally, vec_scale
+from .linalg import echelon, tally, vec_scale
 from .toroidal_realization import (RealizationModule, RELATION_IDS,
                                    default_identity_pairs,
                                    field_commutator_window_check, relation_check,
                                    top_action_check)
-from .virasoro_affine import (CriticalLevelError, singular_vectors,
-                              sugawara_mode, sugawara_sweep,
+from .virasoro_affine import (CriticalLevelError, raising_symbols,
+                              singular_vectors, sugawara_mode, sugawara_sweep,
                               sugawara_test_vectors)
 
 Q = Fraction
@@ -361,10 +361,33 @@ def verify_realization(module, rng, task):
     return checks, {}
 
 
+def _unsingular(fmod, dd, vecs):
+    """How the search's witnesses at depth ``dd`` fail to be independent
+    singular vectors, or None.  Each raising mode is applied through
+    ``act``, not through the search's own rows and nullspace."""
+    for i, vec in enumerate(vecs):
+        if not vec:
+            return f"depth {dd} witness {i} is zero"
+    cols = {}
+    rank = len(echelon([{cols.setdefault(k, len(cols)): cf
+                         for k, cf in vec.items()} for vec in vecs]))
+    if rank != len(vecs):
+        return f"depth {dd}: {len(vecs)} witnesses of rank {rank}"
+    for i, vec in enumerate(vecs):
+        for rsym in raising_symbols(fmod.fd):
+            if fmod.act(rsym, vec):
+                return f"depth {dd} witness {i} is not killed by {rsym}"
+    return None
+
+
 def singular(module, rng, task):
-    dims = {str(dd): str(len(singular_vectors(module.fmod, dd)))
-            for dd in range(1, task.depth + 1)}
-    return ([_check("singular:search", True, f"depths 1..{task.depth} searched")],
+    dims, fault = {}, None
+    for dd in range(1, task.depth + 1):
+        vecs = singular_vectors(module.fmod, dd)
+        dims[str(dd)] = str(len(vecs))
+        fault = fault or _unsingular(module.fmod, dd, vecs)
+    return ([_check("singular:search", not fault,
+                    fault or f"depths 1..{task.depth} searched")],
             {"singular_dimensions": dims})
 
 

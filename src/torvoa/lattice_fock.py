@@ -30,11 +30,12 @@ from __future__ import annotations
 from bisect import insort
 from fractions import Fraction
 from functools import cache
-from math import ceil, factorial, gcd, lcm
+from itertools import chain
+from math import ceil, factorial, lcm
 from operator import mul
 
-from .linalg import (add_into, add_over, cross, merge, tally, to_fractions,
-                     to_ints)
+from .linalg import (add_into, add_over, combine, cross, merge, reduced, tally,
+                     to_fractions, to_ints)
 
 Q = Fraction
 
@@ -409,14 +410,10 @@ def _chains_on(L, chains, cden, vec):
     coefficient of :factors Y(e^expy, z): on the int vector ``vec``, keys
     in key form.  The result is reduced: gcd(den, numerators) = 1."""
     vden, vnums = vec
-    den, out = 1, {}
-    for num, factors, expy, e in chains:
-        for (osc, lat), cf in vnums.items():
-            den = add_over(out, den, *_term_apply(L, factors, expy, osc, lat,
-                                                  e), num * cf)
-    den *= cden * vden
-    g = gcd(den, *out.values())
-    return den // g, {k: v // g for k, v in out.items()}
+    den, out = combine((num * cf, _term_apply(L, factors, expy, osc, lat, e))
+                       for num, factors, expy, e in chains
+                       for (osc, lat), cf in vnums.items())
+    return reduced(den * cden * vden, out)
 
 
 def field_mode(L: HypLattice, factors, expy, exponent, vec):
@@ -523,24 +520,16 @@ def _axiom_cases(L, a, b, c, window, borcherds_window):
     indices = {(0, m, n) for m in win for n in win}
     indices.update((k, m, n) for k in bwin for m in bwin for n in bwin)
     for k, m, n in sorted(indices):
-        lden, lhs = 1, {}
-        for j in range(0, bab - k):
-            cf = binom(m, j)
-            if cf:
-                lden = add_over(lhs, lden, *pc(k + j, m + n - j), cf)
-        rden, rhs = 1, {}
-        for j in range(0, bac - m):
-            cf = binom(k, j)
-            if cf:
-                sgn = -1 if (k + j + 1) % 2 else 1
-                rden = add_over(rhs, rden, *ba(n + k - j, m + j), sgn * cf)
-        for j in range(0, bbc - n):
-            cf = binom(k, j)
-            if cf:
-                sgn = -1 if j % 2 else 1
-                rden = add_over(rhs, rden, *ab(m + k - j, n + j), sgn * cf)
+        # a zero binomial skips its mode application
+        lhs = combine((cf, pc(k + j, m + n - j)) for j in range(bab - k)
+                      if (cf := binom(m, j)))
+        rhs = combine(chain(
+            ((-cf if (k + j + 1) % 2 else cf, ba(n + k - j, m + j))
+             for j in range(bac - m) if (cf := binom(k, j))),
+            ((-cf if j % 2 else cf, ab(m + k - j, n + j))
+             for j in range(bbc - n) if (cf := binom(k, j)))))
         # tally compares the two sides cross-multiplied
-        got, want = cross((lden, lhs), (rden, rhs))
+        got, want = cross(lhs, rhs)
         yield (("borcherds", got, want, (k, m, n)) if k
                else ("commutator", got, want, (m, n)))
 

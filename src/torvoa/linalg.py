@@ -5,17 +5,19 @@ built, and the one check counter (``tally``).
 
 A sparse vector stores no zero.  ``merge`` and ``add_into`` are the only
 code that adds into one, so every layer's sums keep that rule: an entry
-that cancels is deleted.  ``add_over`` sums int forms over the lcm of
-their denominators; ``to_ints`` and ``to_fractions`` convert, and
-``cross`` puts two int forms over each other's denominators for ``tally``.
-The matrices of the singular-vector search are a few percent dense, so the
-kernel keeps its rows as sparse dicts and never touches a zero entry.
+that cancels is deleted.  The int form's arithmetic lives here alone:
+``combine`` sums int forms over the lcm of their denominators, ``reduced``
+divides one by its gcd, and ``add_over`` is ``combine``'s in-place step;
+``to_ints`` and ``to_fractions`` convert, and ``cross`` puts two int forms
+over each other's denominators for ``tally``.  The matrices of the
+singular-vector search are a few percent dense, so the kernel keeps its
+rows as sparse dicts and never touches a zero entry.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 Q = Fraction
 
@@ -60,6 +62,29 @@ def add_over(out, den, pden, piece, scale=1):
         den = grown
     add_into(out, piece, scale * (den // pden))
     return den
+
+
+def combine(pieces):
+    """The sum of num * pnums / pden over the (num, (pden, pnums)) of
+    ``pieces``, as a fresh int form (den, nums) over the lcm of the
+    denominators; no piece is written into."""
+    den, out = 1, {}
+    for num, (pden, pnums) in pieces:
+        if out:
+            den = add_over(out, den, pden, pnums, num)
+        elif num and pnums:
+            # the first nonzero piece is copied whole, not entry by entry
+            den, out = pden, (dict(pnums) if num == 1 else
+                              {k: num * v for k, v in pnums.items()})
+    return den, out
+
+
+def reduced(den, nums):
+    """The int form nums / den divided through by gcd(den, numerators), so
+    that gcd is 1; returns ``nums`` itself when it already is."""
+    g = gcd(den, *nums.values())
+    return (den // g, {k: v // g for k, v in nums.items()}) if g > 1 \
+        else (den, nums)
 
 
 def to_ints(vec):

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from math import floor, gcd, lcm
+from math import floor, lcm
 
 from . import lattice_fock
 from .algebra_core import (BasisSymbol, ConfigError, Params, ToroidalElement,
@@ -39,8 +39,8 @@ from .finite_lie_data import (FiniteModule, GLModule, ReductiveF,
 from .lattice_fock import (HypLattice, _canon, _canon_vec, _exp_term,
                            _insert_osc, coset_point, falling, fock_depth,
                            heis_act_gen, hyp_virasoro_mode, random_osc)
-from .linalg import (add_over, cross, merge, tally, to_fractions, to_ints,
-                     vec_add, vec_eq, vec_scale)
+from .linalg import (add_over, combine, cross, merge, reduced, tally,
+                     to_fractions, to_ints, vec_add, vec_eq, vec_scale)
 from .virasoro_affine import (CentralCharacter, FModule, depth,
                               sugawara_constants)
 
@@ -274,20 +274,16 @@ class RealizationModule:
         key form (y None: no exponential).  A Fock-only chain is read from
         the lattice engine's memo and stored nowhere else.  The result is
         reduced: gcd(den, numerators) = 1."""
-        den, out = 1, {}
-        for num, (fock, ffac, y, e) in chains:
-            for ((osc, lat), fkey), cf in vnums.items():
-                if ffac is None:
-                    tden, piece = lattice_fock._term_apply(self.lat, fock, y,
-                                                           osc, lat, e)
-                    piece = {(fk2, fkey): c for fk2, c in piece.items()}
-                else:
-                    tden, piece = self._term_ordered(fock, ffac, y, e,
-                                                     (osc, lat), fkey)
-                den = add_over(out, den, tden, piece, num * cf)
-        den *= cden * vden
-        g = gcd(den, *out.values())
-        return den // g, {k: v // g for k, v in out.items()}
+        def piece(fock, ffac, y, e, fk, fkey):
+            if ffac is not None:
+                return self._term_ordered(fock, ffac, y, e, fk, fkey)
+            tden, fpart = lattice_fock._term_apply(self.lat, fock, y, *fk, e)
+            return tden, {(fk2, fkey): c for fk2, c in fpart.items()}
+
+        den, out = combine((num * cf, piece(*chain, fk, fkey))
+                           for num, chain in chains
+                           for (fk, fkey), cf in vnums.items())
+        return reduced(den * cden * vden, out)
 
     def _act_ints(self, sym: BasisSymbol, den, nums):
         """The int core of the action: ``sym`` on the int vector nums / den,
@@ -297,12 +293,10 @@ class RealizationModule:
     def _element_ints(self, x: ToroidalElement, den, nums):
         """``_act_ints`` of each term of ``x``, summed over one denominator
         (not reduced)."""
-        oden, out = 1, {}
-        for sym, cf in x.terms.items():
-            sden, snums = self._act_ints(sym, den, nums)
-            oden = add_over(out, oden, sden * cf.denominator, snums,
-                            cf.numerator)
-        return oden, out
+        xden, xnums = to_ints(x.terms)
+        oden, out = combine((cf, self._act_ints(sym, den, nums))
+                            for sym, cf in xnums.items())
+        return oden * xden, out
 
     def _apply_ordered(self, fock, ffac, y, e, vec):
         """One plan term, without its coefficient, on a vector (y None: no
@@ -327,11 +321,10 @@ class RealizationModule:
         """([a, b] v, a (b v) - b (a v)) in int form, cross-multiplied over
         their denominators."""
         v = _ints(vec)
-        rden, rhs = self._act_ints(a, *self._act_ints(b, *v))
-        rden = add_over(rhs, rden, *self._act_ints(b, *self._act_ints(a, *v)),
-                        -1)
+        rhs = combine(((1, self._act_ints(a, *self._act_ints(b, *v))),
+                       (-1, self._act_ints(b, *self._act_ints(a, *v)))))
         return cross(self._element_ints(bracket_symbols(self.params, a, b), *v),
-                     (rden, rhs))
+                     rhs)
 
     def commutator_sweep(self, rng: random.Random, count, jmax, rmax,
                          max_depth):
@@ -574,12 +567,11 @@ def field_commutator_window_check(module: RealizationModule, window=3,
                     b_imgs = {jj: act(bsyms[jj], *v) for jj in modes}
                     for i in modes:
                         for jj in modes:
-                            lden, lhs = act(asyms[i], *b_imgs[jj])
-                            lden = add_over(lhs, lden,
-                                            *act(bsyms[jj], *a_imgs[i]), -1)
+                            lhs = combine(((1, act(asyms[i], *b_imgs[jj])),
+                                           (-1, act(bsyms[jj], *a_imgs[i]))))
                             rhs = module._element_ints(rhs_mode_element(
                                 params, akind, r, bkind, m, i, jj), *v)
-                            yield (name, *cross((lden, lhs), rhs),
+                            yield (name, *cross(lhs, rhs),
                                    (asyms[i], bsyms[jj], vec))
     return tally(cases())
 

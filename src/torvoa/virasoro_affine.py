@@ -38,25 +38,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import lcm
 
 from .finite_lie_data import FiniteModule, GLModule, ReductiveF, ValidationError
-from .linalg import (add_into, add_over, merge, nullspace, tally,
-                     to_fractions, to_ints, vec_add, vec_scale)
+from .linalg import (add_into, add_over, combine, merge, nullspace, reduced,
+                     tally, to_fractions, to_ints, vec_add, vec_scale)
 
 Q = Fraction
 
 # the one empty image both memo tables share
 _EMPTY = (1, {})
-
-
-def _reduced(den, nums):
-    """The int form nums / den with gcd 1, or ``_EMPTY``."""
-    if not nums:
-        return _EMPTY
-    g = gcd(den, *nums.values())
-    return (den // g, {k: v // g for k, v in nums.items()}) if g > 1 \
-        else (den, nums)
 
 
 @dataclass(frozen=True)
@@ -260,7 +251,7 @@ class FModule:
                 bden, bnums = self.apply_sym(bsym, rest, top)
                 den = add_over(acc, den, bc.denominator * bden, bnums,
                                bc.numerator)
-            out = _reduced(den, acc)
+            out = reduced(den, acc) if acc else _EMPTY
         self._cache[key] = out
         return out
 
@@ -277,11 +268,9 @@ class FModule:
         summed over one denominator from apply_sym's int images."""
         cden, cnums = to_ints(combo)
         vden, vnums = to_ints(vec)
-        den, out = 1, {}
-        for sym, cs in cnums.items():
-            for (mono, top), cf in vnums.items():
-                pden, piece = self.apply_sym(sym, mono, top)
-                den = add_over(out, den, pden, piece, cs * cf)
+        den, out = combine((cs * cf, self.apply_sym(sym, mono, top))
+                           for sym, cs in cnums.items()
+                           for (mono, top), cf in vnums.items())
         return to_fractions(den * cden * vden, out)
 
     # -- bases ----------------------------------------------------------------
@@ -459,7 +448,8 @@ def _sugawara_basis(module: FModule, m, mono, top):
             iden, inums = apply_sym(("f", i, m), mono, top)
             aden = add_over(acc, aden, ic.denominator * iden, inums,
                             ic.numerator)
-    hit = module._sugawara_cache[key] = _reduced(aden * D, acc)
+    hit = module._sugawara_cache[key] = (reduced(aden * D, acc) if acc
+                                         else _EMPTY)
     return hit
 
 
@@ -470,10 +460,8 @@ def sugawara_mode(module: FModule, m: int, vec):
     if module._casimir is None:
         module._casimir = _casimir_tensor(module.fd, module.gamma)
     vden, vnums = to_ints(vec)
-    den, out = 1, {}
-    for (mono, top), cf in vnums.items():
-        pden, piece = _sugawara_basis(module, m, mono, top)
-        den = add_over(out, den, pden, piece, cf)
+    den, out = combine((cf, _sugawara_basis(module, m, mono, top))
+                       for (mono, top), cf in vnums.items())
     return to_fractions(den * vden, out)
 
 

@@ -160,6 +160,22 @@ class TestRun:
         assert report["tables"]["singular_dimensions"] == {
             "1": "1", "2": "0", "3": "7"}
 
+    def test_singular_search_checks_its_witnesses(self, tmp_path, capsys,
+                                                   monkeypatch):
+        # f_0(-1) on the top is no singular vector: the raising mode
+        # f_1(1) maps it to a nonzero multiple of the top
+        monkeypatch.setattr(
+            "torvoa.cli.singular_vectors",
+            lambda fmod, dd: [{((("f", 0, -dd),), (0, 0)): Q(1)}])
+        path = tmp_path / "run.torvoa"
+        path.write_text(MINIMAL.replace('command = "char"',
+                                        'command = "singular"'),
+                        encoding="utf-8")
+        assert main([str(path)]) == 1
+        assert json.loads(capsys.readouterr().out)["checks"] == [
+            {"id": "singular:search", "status": "fail",
+             "details": "depth 1 witness 0 is not killed by ('f', 1, 1)"}]
+
     def test_derived_block(self):
         report = run(parse_spec(MINIMAL))
         assert report["derived"]["gamma0"]["c_hei"] == "-1/15"

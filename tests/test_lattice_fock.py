@@ -598,21 +598,38 @@ class TestRationalCoefficients:
         assert voa_axiom_check(lat1, *_rational_triple(lat1), window=2,
                                borcherds_window=2) == []
 
-    def test_int_core_returns_reduced_vectors(self, monkeypatch):
-        seen = []
+    def test_int_core_returns_reduced_vectors(self, monkeypatch,
+                                              module_n2_natural):
+        # the lattice core and the realized module's core
+        seen, seen_module = [], []
         core = lattice_fock._chains_on
+        module_core = RealizationModule._chains_ints
 
         def recorded(*args):
             seen.append(core(*args))
             return seen[-1]
 
+        def recorded_module(*args):
+            seen_module.append(module_core(*args))
+            return seen_module[-1]
+
         monkeypatch.setattr(lattice_fock, "_chains_on", recorded)
+        monkeypatch.setattr(RealizationModule, "_chains_ints",
+                            recorded_module)
         L = HypLattice(1)
         assert voa_axiom_check(L, *_rational_triple(L), window=1,
                                borcherds_window=1) == []
         assert any(den > 1 for den, _nums in seen)
         for den, nums in seen:
             _check_entry((den, nums))
+            assert gcd(den, *nums.values()) == 1, (den, nums)
+        # alpha = 1/2 puts denominators on the realized module's vectors
+        assert module_n2_natural.commutator_sweep(
+            random.Random(3), 12, 1, 1, 1) == (12, [])
+        assert any(den > 1 for den, _nums in seen_module)
+        for den, nums in seen_module:
+            assert type(den) is int and den > 0, den
+            assert all(type(v) is int and v for v in nums.values()), nums
             assert gcd(den, *nums.values()) == 1, (den, nums)
 
 

@@ -1,5 +1,6 @@
-"""The sparse-vector primitives against a dense sum, and the sparse echelon
-kernel against sympy's exact DomainMatrix over QQ.
+"""The sparse-vector primitives against a dense sum, their int form
+(den, {key: numerator}) against the same sums on Fraction dicts, and the
+sparse echelon kernel against sympy's exact DomainMatrix over QQ.
 
 sympy is a test-only oracle; the package itself needs only the standard
 library.  Matrices are seeded random sparse rationals, tall, wide and
@@ -10,11 +11,14 @@ list rows.
 
 import random
 from fractions import Fraction as Q
+from math import gcd
 
 import pytest
 
-from torvoa.linalg import (add_into, echelon, invert, merge, nullspace,
-                           vec_add, vec_eq)
+from torvoa.linalg import (add_into, add_over, combine, cross, echelon,
+                           invert, merge, nullspace, reduced, to_fractions,
+                           to_ints, vec_add, vec_eq)
+from torvoa.virasoro_affine import _EMPTY
 
 QQ = pytest.importorskip("sympy").QQ
 DomainMatrix = pytest.importorskip("sympy.polys.matrices").DomainMatrix
@@ -191,3 +195,112 @@ def test_add_into_matches_dense_sum(scale, seed):
     assert a == a0 and b == b0
     assert vec_eq(vec_add(a, b, scale), want)
     assert vec_eq(a, b) == (a == b)
+
+
+def _int_form(rng, keys, density=0.5):
+    """A seeded sparse int form with mixed denominators, put over a
+    multiple of its least denominator so that it is not reduced, and its
+    Fraction dict."""
+    vec = {k: _entry(rng) for k in keys if rng.random() < density}
+    den, nums = to_ints(vec)
+    t = rng.choice((1, 2, 6, 35))
+    return (den * t, {k: v * t for k, v in nums.items()}), vec
+
+
+def _pieces(seed, count=5):
+    """(scale, (den, nums)) pieces and their sum as a Fraction dict, built
+    with ``add_into``.  The first scale is 1 and the second 0, and the last
+    piece cancels part of the sum before it."""
+    rng = random.Random(seed)
+    keys = range(12)
+    pieces, want = [], {}
+    for i in range(count):
+        form, vec = _int_form(rng, keys)
+        scale = (1, 0)[i] if i < 2 else rng.choice((1, -1, 3, -7, 10**9 + 7))
+        pieces.append((scale, form))
+        add_into(want, vec, scale)
+    if want:
+        cancel = {k: -v for k, v in rng.sample(sorted(want.items()),
+                                               min(4, len(want)))}
+        den, nums = to_ints(cancel)
+        pieces.append((1, (den * 3, {k: 3 * v for k, v in nums.items()})))
+        add_into(want, cancel)
+    return pieces, want
+
+
+def _check_int_form(den, nums):
+    assert type(den) is int and den > 0
+    assert all(type(v) is int and v for v in nums.values())
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_int_form_conversions_round_trip(seed):
+    rng = random.Random(seed)
+    (den, nums), vec = _int_form(rng, range(12))
+    _check_int_form(den, nums)
+    assert to_fractions(den, nums) == vec
+    assert to_fractions(*to_ints(vec)) == vec
+    assert to_ints({}) == (1, {}) and to_fractions(7, {}) == {}
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_add_over_matches_add_into(seed):
+    pieces, want = _pieces(seed)
+    den, out = 1, {}
+    for scale, (pden, pnums) in pieces:
+        before = dict(pnums)
+        den = add_over(out, den, pden, pnums, scale)
+        assert pnums == before
+        _check_int_form(den, out)
+        assert den % pden == 0 or not pnums
+    assert to_fractions(den, out) == want
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_combine_matches_add_into(seed):
+    pieces, want = _pieces(seed)
+    copies = [(scale, (pden, dict(pnums))) for scale, (pden, pnums) in pieces]
+    den, out = combine(iter(pieces))
+    _check_int_form(den, out)
+    assert to_fractions(den, out) == want
+    # no piece is written into, and the result is none of them
+    assert pieces == copies
+    assert all(out is not pnums for _scale, (_pden, pnums) in pieces)
+    # a sum that cancels to zero and then grows again
+    (_s, a), (_t, b) = pieces[0], pieces[-1]
+    den, out = combine(iter([(1, a), (-1, a), (2, b)]))
+    _check_int_form(den, out)
+    assert to_fractions(den, out) == to_fractions(b[0], add_into({}, b[1], 2))
+    assert combine(iter(())) == (1, {})
+    assert combine(iter(())) is not _EMPTY
+    assert combine(iter(()))[1] is not _EMPTY[1]
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_reduced_divides_out_the_gcd(seed):
+    pieces, _want = _pieces(seed)
+    for _scale, (den, nums) in pieces:
+        before = dict(nums)
+        rden, rnums = reduced(den, nums)
+        _check_int_form(rden, rnums)
+        assert gcd(rden, *rnums.values()) == 1
+        assert to_fractions(rden, rnums) == to_fractions(den, nums)
+        assert nums == before
+    assert reduced(6, {}) == (1, {})
+    nums = {"a": 2, "b": -3}
+    assert reduced(5, nums)[1] is nums
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_cross_is_equal_exactly_on_equal_vectors(seed):
+    rng = random.Random(seed)
+    (den, nums), _vec = _int_form(rng, range(12), density=0.8)
+    same = (den * 4, {k: 4 * v for k, v in nums.items()})
+    got, want = cross((den, nums), same)
+    assert got == want
+    for k in nums:
+        other = dict(same[1])
+        other[k] += 1
+        got, want = cross((den, nums), (same[0], other))
+        assert got != want
+    assert cross((1, {}), (5, {})) == ({}, {})
