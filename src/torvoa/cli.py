@@ -249,6 +249,9 @@ def build_context(spec: SpecFile):
         raise SpecFileError('V = "explicit" needs V_matrices')
     if mod.get("W") == "explicit" and params.N >= 2 and "W_matrices" not in mod:
         raise SpecFileError('W = "explicit" needs W_matrices')
+    for side in ("V", "W"):
+        if f"{side}_matrices" in mod and mod.get(side) != "explicit":
+            raise SpecFileError(f'{side}_matrices needs {side} = "explicit"')
     V = build_module(gd, mod.get("V", "trivial"), mats=mod.get("V_matrices"))
     h = mod.get("h")
     W = build_gl_module(params.N, mod.get("W", "trivial"),

@@ -594,13 +594,12 @@ def _top_action_cases(module, window, m_window):
     c = p.c
     box = _index_box(N, window)
     mbox = _index_box(N, m_window)
-    tops = [(iv, iw) for iv in range(module.V.dim) for iw in range(module.W.dim)]
     gl = {(pp, jd): module.W.gl_action(pp, jd)
           for pp in range(1, N + 1) for jd in range(1, N + 1)}
     for r in box:
         for m in mbox:
             mr = tuple(x + y for x, y in zip(m, r))
-            for (iv, iw) in tops:
+            for (iv, iw) in module.fmod.tops:
                 vec = module.top_vector(m, iv, iw)
                 shift = module.top_vector(mr, iv, iw)
                 yield ("k0-shift", module.g_act_symbol(k_sym(p, 0, r, 0), vec),

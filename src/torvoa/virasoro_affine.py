@@ -19,19 +19,20 @@ A PBW monomial of negative modes has ``depth`` minus the sum of its modes,
 and a mode above that depth annihilates it; ``apply_sym`` answers such a
 mode with zero at once and does not store it.
 
-An ``FModule`` keeps two memo tables: ``apply_sym``'s image of each mode
-symbol on each PBW basis monomial, and the image of each mode of the
-corrected Virasoro field L'(z) on each basis monomial.  Both hold reduced
-int forms (den, {(mono, top): numerator}) (``linalg``), and every empty
-image is the one shared entry ``_EMPTY``.  L'(m) is computed once per
-monomial from its definition: L(m) minus the normally ordered Sugawara
-quadratics of g, sl_N and the Heisenberg current, plus the dI correction.
-The quadratics are one tensor T over basis currents, in ints over a common
-denominator, and L'(m) is one pass over T and the split modes of
-:x_i x_j:(m) that adds each second current's image once.  ``act``,
-``act_current`` and ``sugawara_mode`` extend the images linearly to
-vectors; they are the Fraction boundary, converting their input once and
-building one Fraction per output entry.
+An ``FModule`` keeps one memo table, ``apply_sym``'s image of each mode
+symbol on each PBW basis monomial, as a reduced int form
+(den, {(mono, top): numerator}) (``linalg``); every empty image is the one
+shared entry ``_EMPTY``.  The constructor stores the zero modes on the
+tops: L(0) and every x_i(0).  The mode L'(m) of the corrected Virasoro
+field L'(z) is the symbol ("L'", m), computed once per monomial from its
+definition: L(m) minus the normally ordered Sugawara quadratics of g, sl_N
+and the Heisenberg current, plus the dI correction.  The quadratics are one
+tensor T over basis currents, in ints over a common denominator, and L'(m)
+is one pass over T and the split modes of :x_i x_j:(m) that adds each
+second current's image once.  ``act``, ``act_current`` and
+``sugawara_mode`` extend the images linearly to vectors; they are the
+Fraction boundary, converting their input once and building one Fraction
+per output entry.
 """
 
 from __future__ import annotations
@@ -46,7 +47,7 @@ from .linalg import (add_into, add_over, combine, merge, nullspace, reduced,
 
 Q = Fraction
 
-# the one empty image both memo tables share
+# the one empty image that every zero entry of the memo table shares
 _EMPTY = (1, {})
 
 
@@ -81,7 +82,7 @@ class CriticalLevelError(ValueError):
 
 
 def mode_of(sym):
-    return sym[1] if sym[0] == "L" else sym[2]
+    return sym[2] if sym[0] == "f" else sym[1]
 
 
 def depth(mono):
@@ -158,57 +159,46 @@ class FModule:
                 "h_hei = h_vir = 0")
         self.top_dim = V.dim * W.dim
         self.tops = [(iv, iw) for iv in range(V.dim) for iw in range(W.dim)]
-        self._zero_action = self._build_zero_modes()
         # the Sugawara tensor of _casimir_tensor; built by sugawara_mode
         # once the level is known not to be critical
         self._casimir = None
-        # the two memo tables: apply_sym's (sym, mono, top) and the
-        # corrected Virasoro field's (m, mono, top) images, each a reduced
-        # int form.  Their keys share one copy of each mode symbol, and every
-        # empty image is the one _EMPTY; unshared, each of the two cost about
-        # 0.6 MB of the 6.2 MB that a cold sweep of perfbench's sugawara
-        # workload retains (tracemalloc, Python 3.11, x86-64)
+        # the memo table of apply_sym's (sym, mono, top) images, each a
+        # reduced int form.  Its keys share one copy of each mode symbol,
+        # and every empty image is the one _EMPTY; unshared, a cold sweep of
+        # perfbench's sugawara workload holds 9.3 MB instead of 7.9 MB
+        # (tracemalloc from import, Python 3.11, x86-64)
         self._cache = {}
-        self._sugawara_cache = {}
         self._shared = {}
+        self._store_zero_modes()
 
     # -- static structure ---------------------------------------------------
 
-    def _build_zero_modes(self):
-        """Per basis current, its top action: source top -> int image
-        (den, {((), dst_top): numerator}).  A g current acts on V, E_ab on W
-        through its traceless part, plus h_hei / N on the diagonal when
-        a = b."""
-        table = []
-        for sym in self.fd.basis:
+    def _store_zero_modes(self):
+        """Store the image of each zero mode on each top in the memo table.
+        L(0) acts by h_vir.  A g current acts on V, E_ab on W through its
+        traceless part, plus h_hei / N on the diagonal when a = b."""
+        modes = [(("L", 0), (), 0, self.h_vir)]
+        for i, sym in enumerate(self.fd.basis):
             if sym[0] == "g":
-                mat, slot, scalar = self.V.mats[sym[1]], 0, 0
+                modes.append((("f", i, 0), self.V.mats[sym[1]], 0, 0))
             else:
                 _, a, b = sym
-                mat, slot = self.W.traceless_part_action(a, b), 1
-                scalar = self.h_hei / self.fd.N if a == b else 0
-            images = {}
+                modes.append((("f", i, 0), self.W.traceless_part_action(a, b),
+                              1, self.h_hei / self.fd.N if a == b else 0))
+        for sym, mat, slot, scalar in modes:
+            sym = self._shared.setdefault(sym, sym)
             for top in self.tops:
                 img = {}
                 for k, row in enumerate(mat):
                     dst = (k, top[1]) if slot == 0 else (top[0], k)
                     merge(img, ((), dst), row[top[slot]])
                 merge(img, ((), top), scalar)
-                if img:
-                    images[top] = to_ints(img)
-            table.append(images)
-        return table
+                self._cache[(sym, (), top)] = to_ints(img) if img else _EMPTY
 
     def top_vector(self, iv=0, iw=0):
         return {((), (iv, iw)): Q(1)}
 
     # -- straightening ------------------------------------------------------
-
-    def _top_apply(self, sym, top):
-        if sym[0] == "L":
-            h = self.h_vir
-            return (h.denominator, {((), top): h.numerator}) if h else _EMPTY
-        return self._zero_action[sym[1]].get(top, _EMPTY)
 
     def apply_sym(self, sym, mono, top):
         """sym * (mono acting on top) as a reduced int form
@@ -216,7 +206,9 @@ class FModule:
         mutate.
 
         A mode above the monomial's depth gives zero by grading, which is
-        returned at once and not stored."""
+        returned at once and not stored.  Zero modes on the tops are stored
+        by the constructor, and ("L'", m) is mode m of the corrected
+        Virasoro field (``sugawara_mode``)."""
         if sym[0] == "C":
             value = getattr(self.gamma, sym[1])
             return ((value.denominator, {(mono, top): value.numerator})
@@ -231,14 +223,12 @@ class FModule:
         sym = self._shared.setdefault(sym, sym)
         key = (sym, mono, top)
         reducible = self.vacuum and sym == ("L", -1)
-        if not mono:
-            if n == 0:
-                out = self._top_apply(sym, top)
-            elif reducible:
-                out = _EMPTY
-            else:
-                out = (1, {((sym,), top): 1})
-        elif n < 0 and not reducible and _key(sym) <= _key(mono[0]):
+        if sym[0] == "L'":
+            out = _sugawara_basis(self, n, mono, top)
+        elif reducible and not mono:
+            out = _EMPTY
+        elif not reducible and n < 0 and (not mono
+                                          or _key(sym) <= _key(mono[0])):
             out = (1, {((sym,) + mono, top): 1})
         else:
             head, rest = mono[0], mono[1:]
@@ -257,16 +247,18 @@ class FModule:
 
     def act(self, sym, vec):
         """Apply one mode or central symbol to a vector."""
-        return self._extend({sym: 1}, vec)
+        return self._extend((1, {sym: 1}), vec)
 
     def act_current(self, combo, n, vec):
         """Apply sum_i combo[i] x_i(n)."""
-        return self._extend({("f", i, n): cf for i, cf in combo.items()}, vec)
+        return self._extend(to_ints({("f", i, n): cf
+                                     for i, cf in combo.items()}), vec)
 
     def _extend(self, combo, vec):
-        """sum over sym of combo[sym] * sym on the Fraction vector ``vec``,
-        summed over one denominator from apply_sym's int images."""
-        cden, cnums = to_ints(combo)
+        """The int combo (cden, {sym: numerator}) of symbols applied to the
+        Fraction vector ``vec``, summed over one denominator from
+        apply_sym's int images."""
+        cden, cnums = combo
         vden, vnums = to_ints(vec)
         den, out = combine((cs * cf, self.apply_sym(sym, mono, top))
                            for sym, cs in cnums.items()
@@ -405,11 +397,7 @@ def _casimir_tensor(fd: ReductiveF, gamma: CentralCharacter):
 
 def _sugawara_basis(module: FModule, m, mono, top):
     """L'(m) on one PBW monomial, from the definition, as a reduced int
-    form; returns a cached entry, do not mutate."""
-    key = (m, mono, top)
-    hit = module._sugawara_cache.get(key)
-    if hit is not None:
-        return hit
+    form; ``apply_sym`` stores it as the image of ("L'", m)."""
     apply_sym = module.apply_sym
     T, D = module._casimir
     d = depth(mono)
@@ -448,21 +436,16 @@ def _sugawara_basis(module: FModule, m, mono, top):
             iden, inums = apply_sym(("f", i, m), mono, top)
             aden = add_over(acc, aden, ic.denominator * iden, inums,
                             ic.numerator)
-    hit = module._sugawara_cache[key] = (reduced(aden * D, acc) if acc
-                                         else _EMPTY)
-    return hit
+    return reduced(aden * D, acc) if acc else _EMPTY
 
 
 def sugawara_mode(module: FModule, m: int, vec):
     """Mode m (Virasoro indexing) of the corrected Virasoro field: the
-    linear extension of its memoized image of each basis monomial."""
+    mode symbol ("L'", m), applied through ``FModule.act``."""
     check_generic(module.fd, module.gamma)
     if module._casimir is None:
         module._casimir = _casimir_tensor(module.fd, module.gamma)
-    vden, vnums = to_ints(vec)
-    den, out = combine((cf, _sugawara_basis(module, m, mono, top))
-                       for (mono, top), cf in vnums.items())
-    return to_fractions(den * vden, out)
+    return module.act(("L'", m), vec)
 
 
 def sugawara_test_vectors(module: FModule, rng, per_depth):

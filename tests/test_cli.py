@@ -363,6 +363,21 @@ class TestBadInput:
         status, err = self._main(capsys, [str(path)])
         assert status == 2 and "V_matrices must be" in err
 
+    @pytest.mark.parametrize("old, new, key", [
+        ('V = "trivial"',
+         'V = "natural"\nV_matrices = [[[5]], [[7]], [[9]]]', "V_matrices"),
+        ('W = "trivial"', 'W = "trivial"\nW_matrices = [[[5]]]',
+         "W_matrices"),
+    ])
+    def test_matrices_need_an_explicit_top(self, tmp_path, capsys, old, new,
+                                           key):
+        # matrices the top does not read are an error, not silently dropped
+        path = tmp_path / "run.torvoa"
+        path.write_text(MINIMAL.replace(old, new), encoding="utf-8")
+        status, err = self._main(capsys, [str(path)])
+        assert status == 2
+        assert f'{key} needs {key[0]} = "explicit"' in err
+
     def test_missing_file(self, tmp_path, capsys):
         status, err = self._main(capsys, [str(tmp_path / "absent.torvoa")])
         assert status == 2 and "absent.torvoa" in err

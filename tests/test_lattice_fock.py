@@ -17,7 +17,9 @@ from torvoa.lattice_fock import (_KeyFraction, _canon, _exp_term, _insert_osc,
                                  _term_apply, coset_point, heis_act_gen,
                                  random_triples, state_degree, translate,
                                  voa_sweep)
-from torvoa.linalg import vec_add, vec_scale
+from torvoa.linalg import vec_add
+
+from rational_vectors import mix
 
 
 @pytest.fixture(scope="module")
@@ -544,20 +546,12 @@ class TestAxioms:
                 if label == "commutator" and data[0] == -3]
 
 
-S, T = Q(1, 3), Q(-2, 5)
-
-
-def _mix(v, w):
-    """S v + T w."""
-    return vec_add(vec_scale(v, S), w, T)
-
-
 def _rational_triple(L):
     """Two-term N = 1 states with coefficients S and T, through exponentials
     on both isotropic directions and the sign cocycle."""
-    return (_mix(vacuum_vector(L, beta=(1,)), osc_vec(L, [(0, -1)])),
-            _mix(vacuum_vector(L, m=(1,)), osc_vec(L, [(1, -2)], m=(-1,))),
-            _mix(osc_vec(L, [(1, -1)]), vacuum_vector(L, m=(1,), beta=(1,))))
+    return (mix(vacuum_vector(L, beta=(1,)), osc_vec(L, [(0, -1)])),
+            mix(vacuum_vector(L, m=(1,)), osc_vec(L, [(1, -2)], m=(-1,))),
+            mix(osc_vec(L, [(1, -1)]), vacuum_vector(L, m=(1,), beta=(1,))))
 
 
 class TestRationalCoefficients:
@@ -576,20 +570,20 @@ class TestRationalCoefficients:
         b = osc_vec(L, [(0, -2)], beta=one)
         seen = 0
         for n in range(-3, 3):
-            got = state_mode(L, a, n, _mix(v, w))
-            assert got == _mix(state_mode(L, a, n, v), state_mode(L, a, n, w))
+            got = state_mode(L, a, n, mix(v, w))
+            assert got == mix(state_mode(L, a, n, v), state_mode(L, a, n, w))
             seen += bool(got)
-            got = state_mode(L, _mix(a, b), n, v)
-            assert got == _mix(state_mode(L, a, n, v), state_mode(L, b, n, v))
+            got = state_mode(L, mix(a, b), n, v)
+            assert got == mix(state_mode(L, a, n, v), state_mode(L, b, n, v))
             seen += bool(got)
             # a half-integral y lands on integral points at alpha = 1/2
             for y in (tuple(2 * x for x in one), tuple(Q(x, 2) for x in one)):
                 y += (0,) * N
                 e = L.form(y, next(iter(v))[1]) + n
                 factors = (("osc", N, 1),)
-                got = field_mode(L, factors, y, e, _mix(v, w))
-                assert got == _mix(field_mode(L, factors, y, e, v),
-                                   field_mode(L, factors, y, e, w))
+                got = field_mode(L, factors, y, e, mix(v, w))
+                assert got == mix(field_mode(L, factors, y, e, v),
+                                  field_mode(L, factors, y, e, w))
                 seen += bool(got)
         # every mode above is nonzero, so no side is trivially empty
         assert seen == 24

@@ -17,6 +17,8 @@ from torvoa.toroidal_realization import (RELATION_IDS, _index_box,
                                          unit_r)
 from torvoa.linalg import tally, vec_add, vec_eq, vec_scale
 
+from rational_vectors import S, T, mix, nonzero
+
 
 def _osc_monomials(N, depth):
     """All oscillator monomials of the given depth over 2N generators."""
@@ -469,21 +471,6 @@ class TestTensorSplit:
             assert M.vacuum_companion().lat is M.lat
 
 
-S, T = Q(1, 3), Q(-2, 5)
-
-
-def _mix(v, w):
-    """S v + T w."""
-    return vec_add(vec_scale(v, S), w, T)
-
-
-def _fractions(vec):
-    """``vec``, after checking that every coefficient is a nonzero Fraction."""
-    for cf in vec.values():
-        assert type(cf) is Q and cf, vec
-    return vec
-
-
 class TestRationalCoefficients:
     """Vectors and elements with coefficients other than 1, which no random
     vector has: the action is linear over Q, its outputs are nonzero
@@ -499,9 +486,9 @@ class TestRationalCoefficients:
             x = random_symbol(M.params, rng, jmax=2, rmax=1,
                               tags=("g", "k", "d", "dt"))
             v, w = rng.sample(vectors, 2)
-            got = _fractions(M.g_act(x, _mix(v, w)))
-            assert got == _mix(_fractions(M.g_act(x, v)),
-                               _fractions(M.g_act(x, w))), (x, v, w)
+            got = nonzero(M.g_act(x, mix(v, w)))
+            assert got == mix(nonzero(M.g_act(x, v)),
+                              nonzero(M.g_act(x, w))), (x, v, w)
             seen += bool(got)
         assert seen > 8
 
@@ -515,12 +502,12 @@ class TestRationalCoefficients:
                                 dt_sym(p, -1, (0,) * p.N, 2): Q(-5, 3)})
         assert len(x.terms) > 2
         vectors = M.sample_vectors(2)
-        for v in vectors + [_mix(vectors[1], vectors[-1])]:
+        for v in vectors + [mix(vectors[1], vectors[-1])]:
             want = {}
             for sym, cf in x.terms.items():
                 want = vec_add(want, M.g_act_symbol(sym, v), cf)
             assert want
-            assert _fractions(M.g_act(x, v)) == want, v
+            assert nonzero(M.g_act(x, v)) == want, v
 
     @pytest.mark.parametrize("fixture", ["module_n1", "module_n2",
                                          "module_n2_natural"])

@@ -14,6 +14,8 @@ from torvoa.linalg import add_into, vec_add, vec_eq, vec_scale
 from torvoa.virasoro_affine import (depth, mode_of, sugawara_sweep,
                                     sugawara_test_vectors)
 
+from rational_vectors import S, mix, nonzero
+
 
 @pytest.fixture(scope="module")
 def fd2(sl2):
@@ -158,11 +160,17 @@ def cancelling(fd2, gamma2, sl2):
 class TestNoStoredZero:
     """A sparse vector stores no zero.  On the natural gl_2 top with
     h_hei = 1, E_11(0) = h_hei/2 + (E_11 - I/2) is zero on the second basis
-    vector of W; with c_sl = 0 the central symbol c_sl acts by zero."""
+    vector of W; with c_sl = 0 the central symbol c_sl acts by zero.  A
+    fresh module's memo table holds the zero modes L(0) and x_i(0) on every
+    top and nothing else."""
 
     def test_cancelled_top_action_is_empty(self, cancelling, fd2):
-        assert all(all(nums.values()) for table in cancelling._zero_action
-                   for _den, nums in table.values())
+        fresh = FModule(fd2, cancelling.gamma, cancelling.V, cancelling.W,
+                        h_hei=cancelling.h_hei, h_vir=cancelling.h_vir)
+        assert len(fresh._cache) == (fd2.dim + 1) * len(fresh.tops)
+        assert all(mono == () and all(nums.values())
+                   for (_sym, mono, _top), (_den, nums)
+                   in fresh._cache.items())
         e11 = fd2.e_index(1, 1)
         assert cancelling.apply_sym(("f", e11, 0), (), (0, 1)) == (1, {})
         assert cancelling.apply_sym(("C", "c_sl"), (), (0, 0)) == (1, {})
@@ -428,16 +436,16 @@ class TestSugawaraMemo:
             assert tot == {}, a
 
     def test_memo_entries_share_symbols_and_coefficients(self, case):
-        # both tables hold reduced int forms, every empty image is the one
-        # shared entry, and the keys share one copy of each mode symbol
-        module, depth, modes = case
-        for v in self.mixed_vectors(module, depth):
+        # the one table holds the L'(m) images next to apply_sym's, all as
+        # reduced int forms; every empty image is the one shared entry, and
+        # the keys share one copy of each mode symbol
+        module, deepest, modes = case
+        for v in self.mixed_vectors(module, deepest):
             for m in modes:
                 sugawara_mode(module, m, v)
-        entries = (list(module._cache.values())
-                   + list(module._sugawara_cache.values()))
-        assert module._sugawara_cache and entries
-        for entry in entries:
+                assert all((("L'", m), mono, top) in module._cache
+                           for mono, top in v if m <= depth(mono))
+        for entry in module._cache.values():
             den, nums = entry
             assert type(den) is int and den > 0, entry
             assert all(type(v) is int and v for v in nums.values()), entry
@@ -472,7 +480,7 @@ class TestSugawaraCriticalLevel:
         for _ in range(2):
             with pytest.raises(CriticalLevelError):
                 sugawara_mode(mod, 1, mod.top_vector())
-        assert mod._sugawara_cache == {}
+        assert not any(sym[0] == "L'" for sym, _mono, _top in mod._cache)
         assert mod._casimir is None
 
     def test_warm_memo_does_not_skip_the_check(self, fd2, gamma2, sl2):
@@ -519,25 +527,10 @@ class TestHeldOnce:
         for mono in [()] + fmod.monomials_at(1) + fmod.monomials_at(2):
             for top in fmod.tops:
                 for n in range(depth(mono) + 1, depth(mono) + 3):
-                    syms = [("L", n)] + [("f", i, n)
-                                         for i in range(fmod.fd.dim)]
+                    syms = [("L", n), ("L'", n)] + [
+                        ("f", i, n) for i in range(fmod.fd.dim)]
                     assert all(fmod.apply_sym(sym, mono, top) == (1, {})
                                for sym in syms)
-
-
-S, T = Q(1, 3), Q(-2, 5)
-
-
-def _mix(v, w):
-    """S v + T w."""
-    return vec_add(vec_scale(v, S), w, T)
-
-
-def _fractions(vec):
-    """``vec``, after checking that every coefficient is a nonzero Fraction."""
-    for cf in vec.values():
-        assert type(cf) is Q and cf, vec
-    return vec
 
 
 class TestRationalCoefficients:
@@ -570,9 +563,9 @@ class TestRationalCoefficients:
         seen = 0
         for v, w in self.pairs(fmod):
             for sym in syms:
-                got = _fractions(fmod.act(sym, _mix(v, w)))
-                assert got == _mix(_fractions(fmod.act(sym, v)),
-                                   _fractions(fmod.act(sym, w))), (sym, v, w)
+                got = nonzero(fmod.act(sym, mix(v, w)))
+                assert got == mix(nonzero(fmod.act(sym, v)),
+                                  nonzero(fmod.act(sym, w))), (sym, v, w)
                 seen += bool(got)
         assert seen > len(syms)
 
@@ -582,18 +575,18 @@ class TestRationalCoefficients:
         for v, w in self.pairs(fmod):
             for combo in combos:
                 for n in (-1, 0, 1):
-                    got = _fractions(fmod.act_current(combo, n, _mix(v, w)))
-                    assert got == _mix(
-                        _fractions(fmod.act_current(combo, n, v)),
-                        _fractions(fmod.act_current(combo, n, w))), (n, v, w)
+                    got = nonzero(fmod.act_current(combo, n, mix(v, w)))
+                    assert got == mix(
+                        nonzero(fmod.act_current(combo, n, v)),
+                        nonzero(fmod.act_current(combo, n, w))), (n, v, w)
 
     def test_sugawara_mode_is_linear_and_exact(self, fmod):
         for v, w in self.pairs(fmod)[:2]:
             for m in range(-2, 3):
-                got = _fractions(sugawara_mode(fmod, m, _mix(v, w)))
-                assert got == _mix(_fractions(sugawara_mode(fmod, m, v)),
-                                   _fractions(sugawara_mode(fmod, m, w)))
-                assert got == _reference_sugawara(fmod, m, _mix(v, w)), m
+                got = nonzero(sugawara_mode(fmod, m, mix(v, w)))
+                assert got == mix(nonzero(sugawara_mode(fmod, m, v)),
+                                  nonzero(sugawara_mode(fmod, m, w)))
+                assert got == _reference_sugawara(fmod, m, mix(v, w)), m
 
     def test_virasoro_norm_is_exact(self, fmod):
         # L(n) L(-n) on the top is 2n h_vir + (n^3 - n)/12 c_vir; the 1/12
@@ -603,7 +596,7 @@ class TestRationalCoefficients:
             got = fmod.act(("L", n), fmod.act(("L", -n), vec_scale(top, S)))
             want = S * (2 * n * fmod.h_vir
                         + Q(n ** 3 - n, 12) * fmod.gamma.c_vir)
-            assert _fractions(got) == vec_scale(top, want), n
+            assert nonzero(got) == vec_scale(top, want), n
 
     def test_central_symbol_returns_its_value(self, module_n1, mod2):
         for fmod in (module_n1.fmod, mod2):
@@ -612,7 +605,7 @@ class TestRationalCoefficients:
             for mono, top in keys:
                 assert fmod.apply_sym(("C", "c_sl"), mono, top) \
                     == (3, {(mono, top): 1})
-            v = _mix({keys[0]: Q(1)}, {keys[-1]: Q(1)})
+            v = mix({keys[0]: Q(1)}, {keys[-1]: Q(1)})
             for name, value in fmod.gamma.as_dict().items():
-                assert _fractions(fmod.act(("C", name), v)) \
+                assert nonzero(fmod.act(("C", name), v)) \
                     == vec_scale(v, value), name
