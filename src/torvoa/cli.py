@@ -92,6 +92,10 @@ class SpecFile:
     task: dict = field(default_factory=dict)
 
     def to_text(self):
+        """The run file as text that ``parse_spec`` reads back to an equal
+        SpecFile.  Public API with no caller in the package: the round-trip
+        tests ``tests/test_cli.py::TestParser::test_round_trip`` and
+        ``tests/test_properties.py::test_run_file_round_trip`` read it."""
         out = []
         for section in ("algebra", "module", "task"):
             data = getattr(self, section)

@@ -112,7 +112,10 @@ class HypLattice:
         self._field_cache = {}
 
     def gen(self, g):
-        """Coordinate vector of the g-th generator (0..N-1 are u, N..2N-1 are v)."""
+        """Coordinate vector of the g-th generator (0..N-1 are u, N..2N-1
+        are v).  Public API with no caller in the package:
+        ``tests/test_lattice_fock.py::TestLattice`` and the ``voa`` workload
+        in ``perfbench/workloads.py`` read it."""
         return tuple(1 if i == g else 0 for i in range(2 * self.N))
 
     def form(self, x, y):
@@ -431,7 +434,8 @@ def field_mode(L: HypLattice, factors, expy, exponent, vec):
 
 def state_degree(vec):
     """Conformal degree of a homogeneous vector: oscillator depth plus half
-    the lattice norm, sum_p lat[p] lat[N + p]."""
+    the lattice norm, sum_p lat[p] lat[N + p].  Public API with no caller
+    in the package: ``tests/test_lattice_fock.py::TestDegrees`` reads it."""
     degs = {fock_depth(osc) + sum(map(mul, lat, lat[len(lat) // 2:]))
             for osc, lat in vec}
     if len(degs) != 1:

@@ -9,9 +9,14 @@ that cancels is deleted.  The int form's arithmetic lives here alone:
 ``combine`` sums int forms over the lcm of their denominators, ``reduced``
 divides one by its gcd, and ``add_over`` is ``combine``'s in-place step;
 ``to_ints`` and ``to_fractions`` convert, and ``cross`` puts two int forms
-over each other's denominators for ``tally``.  The matrices of the
-singular-vector search are a few percent dense, so the kernel keeps its
-rows as sparse dicts and never touches a zero entry.
+over each other's denominators for ``tally``.
+
+The kernel eliminates fraction-free: each incoming row is converted once
+to ints, and every pivot row is kept primitive (its entries have gcd 1)
+with a positive entry at its pivot column.  ``Fraction``s are built only
+where ``echelon`` returns the reduced rows.  The matrices
+of the singular-vector search are a few percent dense, so the kernel keeps
+its rows as sparse dicts and never touches a zero entry.
 """
 
 from __future__ import annotations
@@ -38,14 +43,35 @@ def merge(out, key, cf):
 
 
 def add_into(out, vec, scale=1):
-    """out += scale * vec in place, entry by entry through ``merge``;
-    returns ``out``.  ``vec`` must not be ``out``."""
+    """out += scale * vec in place; returns ``out``.  ``vec`` must not be
+    ``out``.  Each entry is added as ``merge`` adds it, written out in the
+    loop rather than called."""
+    get = out.get
     if scale == 1:
         for k, v in vec.items():
-            merge(out, k, v)
-    else:
+            w = get(k)
+            if w is None:
+                if v:
+                    out[k] = v
+            else:
+                w += v
+                if w:
+                    out[k] = w
+                else:
+                    del out[k]
+    elif scale:
         for k, v in vec.items():
-            merge(out, k, scale * v)
+            v *= scale
+            w = get(k)
+            if w is None:
+                if v:
+                    out[k] = v
+            else:
+                w += v
+                if w:
+                    out[k] = w
+                else:
+                    del out[k]
     return out
 
 
@@ -136,32 +162,60 @@ def tally(cases):
 def echelon(rows):
     """Reduced row echelon form of the matrix given by ``rows``.
 
-    Rows may be sparse dicts {col: value} or dense lists.  Rows are added
-    one at a time: each is reduced against the pivot rows found so far, and
-    if anything is left its leading column becomes a new pivot, which is
-    then eliminated from the older pivot rows.  The pivot rows therefore
-    stay fully reduced, and at the end they are the nonzero rows of the
-    (unique) reduced row echelon form.
+    Rows may be sparse dicts {col: value} or dense lists, with int or
+    Fraction values; each is converted once to ints over the lcm of its
+    denominators and never written into.  Rows are added one at a time:
+    each is reduced against the pivot rows found so far, and if anything is
+    left its leading column becomes a new pivot, which is then eliminated
+    from the older pivot rows.  The pivot rows therefore stay fully
+    reduced, and at the end they are the nonzero rows of the (unique)
+    reduced row echelon form, each scaled to a primitive int row with a
+    positive entry at its pivot column.
 
-    Returns {pivot column: sparse row} with a 1 at the pivot column and no
-    entry at any other pivot column; the rank is its length.
+    Returns {pivot column: sparse Fraction row} with a 1 at the pivot column
+    and no entry at any other pivot column, in the order the pivots were
+    found; the rank is its length.
     """
     pivots = {}
     for row in rows:
         items = row.items() if isinstance(row, dict) else enumerate(row)
-        r = {c: Q(x) for c, x in items if x}
+        r = to_ints({c: x for c, x in items if x})[1]
         for p in [c for c in r if c in pivots]:
-            add_into(r, pivots[p], -r[p])
+            _eliminate(r, pivots[p], p)
         if not r:
             continue
         p = min(r)
-        inv = 1 / r[p]
-        r = {c: v * inv for c, v in r.items()}
+        g = gcd(*r.values())
+        _divide(r, g if r[p] > 0 else -g)
         for s in pivots.values():
             if p in s:
-                add_into(s, r, -s[p])
+                _eliminate(s, r, p)
         pivots[p] = r
-    return pivots
+    return {p: {c: Q(v, r[p]) for c, v in r.items()}
+            for p, r in pivots.items()}
+
+
+def _eliminate(r, prow, p):
+    """Clear column ``p`` of the primitive int row ``r`` in place with the
+    pivot row ``prow``: scale ``r`` by lead / g, add ``prow`` -r[p] / g
+    times, where lead = prow[p] > 0 and g = gcd(lead, r[p]), and divide
+    ``r`` by its content, so it stays primitive and keeps its sign."""
+    lead, a = prow[p], r[p]
+    g = gcd(lead, a)
+    if lead != g:
+        m = lead // g
+        for c in r:
+            r[c] *= m
+    add_into(r, prow, -(a // g))
+    if r:
+        _divide(r, gcd(*r.values()))
+
+
+def _divide(r, g):
+    """Divide the int row ``r`` in place by ``g``, which divides it."""
+    if g != 1:
+        for c in r:
+            r[c] //= g
 
 
 def nullspace(rows, ncols):

@@ -346,7 +346,10 @@ class RealizationModule:
         return tally(cases())
 
     def weight_of(self, vec):
-        """Exact (d_0, d_1, .., d_N) eigenvalues; raises on non-eigenvectors."""
+        """Exact (d_0, d_1, .., d_N) eigenvalues; raises on non-eigenvectors.
+        Public API with no caller in the package: ``tests/test_realization.py``
+        ``TestWeights``, AC-10 in ``tests/test_acceptance.py`` and
+        ``demos/03_realization_walkthrough.py`` read it."""
         if not vec:
             raise ConfigError("zero vector has no weight")
         zr = self.params.zero_r()

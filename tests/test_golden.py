@@ -5,14 +5,14 @@ that alters any report or exit status fails here.  A report is made from
 the run file next to it that is named after the golden with its command
 dropped, or else from demos/reference.torvoa, with the command replaced
 in either case.  n2-natural.torvoa puts the natural tops at N = 2 on
-half-integral lattice points; verify-realization and verify-sugawara run
-on it.  verify-voa is left out because one run takes about 5 s (4.7-5.5 s
-in three runs on a shared 2-vCPU host, Python 3.11), a seventh of
-Tier-1's wall time; its Borcherds window is fixed at 2, whatever the run
-file's window.  A CI step outside Tier-1
-diffs its report against golden/verify-voa.json.  Likewise verify-fields
-runs here at window 1 only; a CI step diffs its default-window report
-(about 4 s) against golden/verify-fields.json.
+half-integral lattice points; verify-realization, verify-sugawara and
+singular run on it.  verify-voa is left out because one run takes about
+5 s (4.7-5.5 s in three runs on a shared 2-vCPU host, Python 3.11), a
+seventh of Tier-1's wall time; its Borcherds window is fixed at 2,
+whatever the run file's window.  A CI step outside Tier-1 diffs its
+report against golden/verify-voa.json.  Likewise verify-fields runs here
+at window 1 only; a CI step diffs its default-window report (about 4 s)
+against golden/verify-fields.json.
 """
 
 from pathlib import Path
@@ -34,6 +34,7 @@ CASES = [
     ("verify-fields", ["--window", "1"], "verify-fields-window1.json", 0),
     ("verify-realization", [], "verify-realization-n2-natural.json", 0),
     ("verify-sugawara", [], "verify-sugawara-n2-natural.json", 0),
+    ("singular", [], "singular-n2-natural.json", 0),
 ]
 
 

@@ -9,6 +9,7 @@ large denominators, handed to the kernel both as dict rows and as dense
 list rows.
 """
 
+import copy
 import random
 from fractions import Fraction as Q
 from math import gcd
@@ -158,6 +159,29 @@ def test_invert_rejects_singular(seed):
         assert _domain(singular, n).rank() < n
         with pytest.raises(ValueError):
             invert(_dense(singular, n))
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize("entries", ["int", "mixed"])
+def test_arguments_are_never_written_into(seed, entries):
+    # the kernel scales and subtracts rows in ints; a row that is already
+    # all ints must still be copied, not worked on in place
+    rng = random.Random(seed)
+    n = 7
+    rows = _invertible(rng, n) + _random_rows(rng, 5, n)
+    rows = ([to_ints(row)[1] for row in rows] if entries == "int"
+            else _given(rows, n, "dict"))
+    kinds = {type(v) for row in rows for v in row.values()}
+    assert kinds == ({int} if entries == "int" else {int, Q})
+    for given in (rows, _dense(rows, n)):
+        before = copy.deepcopy(given)
+        echelon(given)
+        nullspace(given, n)
+        assert given == before and repr(given) == repr(before)
+    mat = _dense(rows[:n], n)
+    before = copy.deepcopy(mat)
+    invert(mat)
+    assert mat == before and repr(mat) == repr(before)
 
 
 def test_merge_in_place_drops_zero_and_cancelled_entries():

@@ -240,6 +240,46 @@ class TestSingular:
         for mod in flat_n1:
             assert singular_vectors(mod, 5) == []
 
+    @pytest.mark.parametrize("which, depth, dim", [
+        ("module_n1", 3, 7), ("vacuum_n1", 3, 7),
+        ("module_n2_natural", 2, 12)])
+    def test_search_matches_oracle_on_act(self, request, which, depth, dim):
+        # the raising-mode matrix built from act on each basis vector, and
+        # its canonical nullspace basis (one vector per free column, in
+        # increasing order) from sympy's exact rref
+        QQ = pytest.importorskip("sympy").QQ
+        DomainMatrix = pytest.importorskip("sympy.polys.matrices").DomainMatrix
+        module = (request.getfixturevalue("module_n1").vacuum_companion()
+                  if which == "vacuum_n1" else request.getfixturevalue(which))
+        fmod = module.fmod
+        basis = fmod.basis_at(depth)
+        raising = [("L", 1), ("L", 2)]
+        raising += [("f", i, n) for i in range(fmod.fd.dim) for n in (1, 2)]
+        rows = {}
+        for col, key in enumerate(basis):
+            for sym in raising:
+                for image, cf in fmod.act(sym, {key: Q(1)}).items():
+                    rows.setdefault((sym, image), {})[col] = cf
+        dense = [[QQ(x.numerator, x.denominator)
+                  for x in (Q(row.get(c, 0)) for c in range(len(basis)))]
+                 for row in rows.values()]
+        ref, pivots = DomainMatrix(dense, (len(dense), len(basis)), QQ).rref()
+        ref = ref.to_list()
+        expected = []
+        for free in range(len(basis)):
+            if free in pivots:
+                continue
+            vec = {basis[free]: Q(1)}
+            for i, p in enumerate(pivots):
+                if ref[i][free]:
+                    x = -ref[i][free]
+                    vec[basis[p]] = Q(int(x.numerator), int(x.denominator))
+            expected.append(vec)
+        assert len(expected) == dim
+        found = singular_vectors(fmod, depth)
+        assert found == expected
+        assert all(type(cf) is Q for vec in found for cf in vec.values())
+
     def test_generic_weights_clean_at_low_depth(self, fd2, gamma2, sl2):
         V = build_module(sl2, "trivial")
         W = build_gl_module(2, "trivial", id_scalar=Q(0))
