@@ -14,9 +14,9 @@ over each other's denominators for ``tally``.
 The kernel eliminates fraction-free: each incoming row is converted once
 to ints, and every pivot row is kept primitive (its entries have gcd 1)
 with a positive entry at its pivot column.  ``Fraction``s are built only
-where ``echelon`` returns the reduced rows.  The matrices
-of the singular-vector search are a few percent dense, so the kernel keeps
-its rows as sparse dicts and never touches a zero entry.
+where ``echelon`` returns the reduced rows.  The matrices of the
+singular-vector search are a few percent dense, so the kernel keeps its
+rows as sparse dicts and never touches a zero entry.
 """
 
 from __future__ import annotations
